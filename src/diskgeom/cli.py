@@ -22,10 +22,10 @@ import re
 import sys
 
 from .errors import GeometryError
-from .euclid import line_intersection
 from .configurations import collinearity_residual, family_report
 from .figures import FIGURE_IDS, build_figure, figure_json, figure_svg
-from .verify import CHECKS, default_spec, run_check
+from .hyperbolic import conjecture_points
+from .verify import CHECKS, conjecture_inputs, default_spec, run_check
 
 _COMPLEX_RE = re.compile(
     r"""^\s*(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
@@ -119,16 +119,10 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     if args.samples == 1:
         # echo the full derived configuration of the single sample
         from .verify import sample_circle_quadruple
-        a, b, c, d, tpos = sample_circle_quadruple(spec, 0)
-        h = b + (0.05 + 0.9 * tpos) * (c - b)
-        g = line_intersection(a, b, c, d)
+        inputs = conjecture_inputs(sample_circle_quadruple(spec, 0))
         doc["sample"] = {
-            name: [z.real, z.imag] for name, z in {
-                "a": a, "b": b, "c": c, "d": d, "h": h, "g": g,
-                "j": line_intersection(g, h, a, c),
-                "k": line_intersection(g, h, b, d),
-                "l": line_intersection(g, h, a, d),
-            }.items()
+            name: [z.real, z.imag] for name, z in
+            zip("abcdhgjkl", (*inputs, *conjecture_points(*inputs)))
         }
     flagged = report.max_residual > 1e-6
     doc["possible_counterexample"] = flagged
@@ -166,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("points", help="compute all named points for (a, b)")
     p.add_argument("--a", required=True, help="complex literal, e.g. 0.5 or 0.7@1.0")
     p.add_argument("--b", required=True)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_points)
 
     v = sub.add_parser("verify", help="run randomized theorem checks")

@@ -6,6 +6,14 @@ endpoints a_end, b_end.  The line family k, s, t, u, v, the great-circle
 family k_c ... v_c, and the p/q family each have two evaluation paths:
 synthetic intersections and closed forms, which must agree.
 
+_CLOSED_FORMS is the single source of the closed forms: it declares each
+named point's formula and degeneracy condition once, and the closed-form
+paths of five_points_euclid, chordal_quadratics, five_points_chordal and
+pq_family, as well as eleven_points and family_report, all read it.  The
+synthetic paths intersect lines and great circles and stay independent of
+it; the synthetic p/q path takes only the direction conj(Q) from _moduli,
+to pick between the two great-circle roots.
+
 All eleven points of the combined family are real multiples of
 H = a(1-|b|^2) + b(1-|a|^2); p, q, p_c, q_c are positive real multiples of
 conj(Q) = b(1-|a|^2)^2 + a|a-b|(|1-conj(a)b| - |a-b|).
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     CoincidentPoints,
@@ -24,11 +33,14 @@ from .errors import (
     OutsideDisk,
     ZeroPoint,
 )
-from .euclid import line_intersection, scale_of
+from .euclid import line_intersection
 from .hyperbolic import geodesic_endpoints, hyperbolic_midpoint
 from .spherical import GcisQuadratic, gcis, gcis_quadratic_solve, gcis_roots
 
 _DENOM_TOL = 1e-12
+
+_CHORDAL = ("k_c", "s_c", "t_c", "u_c", "v_c")
+_H_FAMILY = ("k", "s", "t", "u", "v", "m", *_CHORDAL)
 
 
 @dataclass(frozen=True)
@@ -84,17 +96,82 @@ def build_config(a: complex, b: complex) -> DiskConfig:
     return DiskConfig(a, b, 1 / a.conjugate(), 1 / b.conjugate(), a_end, b_end)
 
 
-def _moduli(cfg: DiskConfig) -> tuple[float, float, float, float, float]:
+def _moduli(cfg: DiskConfig) -> tuple:
+    """a, b, |a-b|, |1 - a conj(b)|, |a|^2, |b|^2, |ab|^2 and the directions
+    H and conj(Q): what the closed forms read, in their parameter order."""
     a, b = cfg.a, cfg.b
-    return (abs(a - b), abs(1 - a * b.conjugate()),
-            abs(a) ** 2, abs(b) ** 2, abs(a * b) ** 2)
+    mab, m1, a2 = abs(a - b), abs(1 - a * b.conjugate()), abs(a) ** 2
+    return (a, b, mab, m1, a2, abs(b) ** 2, abs(a * b) ** 2, h_vector(a, b),
+            b * (1 - a2) ** 2 + a * mab * (m1 - mab))
 
 
-def _checked_div(name: str, num: complex, den: float | complex,
-                 sc: float = 1.0) -> complex:
-    if abs(den) <= _DENOM_TOL * sc:
+def _checked_div(name: str, num: complex, den: float) -> complex:
+    if abs(den) <= _DENOM_TOL:
         raise DegenerateDenominator(f"denominator of {name} vanishes")
     return num / den
+
+
+def _boundary_R(a2: float, b2: float, m1: float, gap: float) -> float:
+    """R of k_c (gap = |a-b| - |1 - a conj(b)|) or v_c (gap negated); refused
+    when the gap is within rounding of zero, which needs |a| = 1 or |b| = 1."""
+    if abs(gap) <= 1e-10:
+        raise NearBoundary("|a-b| within rounding of |1 - a conj(b)|")
+    return (1 - a2) * (1 - b2) * m1 / gap
+
+
+def _pq_chordal(num: complex, a2: float, mab: float, m1: float, sign: float
+                ) -> complex:
+    """Root along num = conj(Q) of Q z^2 + sign R z - conj(Q) = 0: q_c for
+    sign = 1, p_c for sign = -1."""
+    c2, c1 = num.conjugate(), sign * ((1 - a2) * m1 * (mab - m1))
+    disc = cmath.sqrt(c1 * c1 - 4 * c2 * -num)
+    return _positive_multiple(((-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)), num)
+
+
+# The closed form of each named point, in PointFamily order, as a function of
+# what _moduli returns.  An entry raises DegenerateDenominator or NearBoundary
+# when its point's degeneracy condition holds.  A great-circle entry gives the
+# quadratic conj(H) z^2 + 2Rz - H = 0 of its point; _solved solves it.
+_CLOSED_FORMS: dict[str, Callable[..., complex | GcisQuadratic]] = {
+    "k": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
+        "k", (mab - m1) * H, (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
+    "s": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
+        "s", H, 2 - 2 * (a * b.conjugate()).real - mab * m1),
+    "t": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
+        "t", H, 2 * (a * b.conjugate()).real - 2 * ab2 + mab * m1),
+    "u": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div("u", H, 1 - ab2),
+    "v": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
+        "v", (m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab),
+    "m": lambda a, b, mab, m1, a2, b2, ab2, H, num: hyperbolic_midpoint(a, b),
+    "k_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(
+        H, _boundary_R(a2, b2, m1, mab - m1)),
+    "s_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(H, m1 * (m1 - mab)),
+    "t_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(H, m1 * (mab - m1)),
+    "u_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(H, 0.0),
+    "v_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(
+        H, _boundary_R(a2, b2, m1, m1 - mab)),
+    "p": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
+        "p", num, (1 - a2) ** 2 + a2 * mab * (m1 - mab)),
+    "q": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
+        "q", num, b2 * (1 - a2) ** 2 + mab * (m1 - mab)),
+    "p_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _pq_chordal(num, a2, mab, m1, -1.0),
+    "q_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _pq_chordal(num, a2, mab, m1, 1.0),
+    "H": lambda a, b, mab, m1, a2, b2, ab2, H, num: H,
+}
+
+
+def _solved(value: complex | GcisQuadratic) -> complex:
+    """The point of a table entry: a quadratic's root in the closed disk."""
+    if isinstance(value, GcisQuadratic):
+        return gcis_quadratic_solve(value)
+    return value
+
+
+def _entries(cfg: DiskConfig, names: tuple[str, ...]) -> tuple:
+    """The named table entries of cfg, in the given order; the first
+    degenerate one raises."""
+    x = _moduli(cfg)
+    return tuple([_CLOSED_FORMS[name](*x) for name in names])
 
 
 def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
@@ -110,33 +187,12 @@ def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
                 line_intersection(a, ae, b, be))
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
-    mab, m1, a2, b2, ab2 = _moduli(cfg)
-    H = h_vector(a, b)
-    k = _checked_div("k", (mab - m1) * H,
-                     (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1)
-    s = _checked_div("s", H, 2 - 2 * (a * b.conjugate()).real - mab * m1)
-    t = _checked_div("t", H, 2 * (a * b.conjugate()).real - 2 * ab2 + mab * m1)
-    u = _checked_div("u", H, 1 - ab2)
-    v = _checked_div("v", (m1 - mab) * H,
-                     (2 - (a2 + b2)) * m1 - (1 - ab2) * mab)
-    return k, s, t, u, v
+    return _entries(cfg, ("k", "s", "t", "u", "v"))
 
 
 def chordal_quadratics(cfg: DiskConfig) -> dict[str, GcisQuadratic]:
     """Quadratic conj(H) z^2 + 2Rz - H = 0 for each great-circle point."""
-    a, b = cfg.a, cfg.b
-    mab, m1, a2, b2, _ = _moduli(cfg)
-    if abs(m1 - mab) <= 1e-10:
-        raise NearBoundary("|a-b| within rounding of |1 - a conj(b)|")
-    H = h_vector(a, b)
-    shared = (1 - a2) * (1 - b2) * m1
-    return {
-        "kc": GcisQuadratic(H, shared / (mab - m1)),
-        "sc": GcisQuadratic(H, m1 * (m1 - mab)),
-        "tc": GcisQuadratic(H, m1 * (mab - m1)),
-        "uc": GcisQuadratic(H, 0.0),
-        "vc": GcisQuadratic(H, shared / (m1 - mab)),
-    }
+    return dict(zip(("kc", "sc", "tc", "uc", "vc"), _entries(cfg, _CHORDAL)))
 
 
 def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
@@ -152,9 +208,7 @@ def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
                 gcis(a, ae, b, be))
     if path != "quadratic":
         raise ValueError(f"unknown path {path!r}")
-    quads = chordal_quadratics(cfg)
-    return tuple(gcis_quadratic_solve(quads[n])   # type: ignore[return-value]
-                 for n in ("kc", "sc", "tc", "uc", "vc"))
+    return tuple([gcis_quadratic_solve(qd) for qd in _entries(cfg, _CHORDAL)])
 
 
 def _positive_multiple(roots: tuple[complex, complex], direction: complex
@@ -170,10 +224,8 @@ def pq_family(cfg: DiskConfig, path: str = "closed_form"
     The chordal pair is selected among the quadratic (or GCIS) roots by that
     direction: q_c generally lies outside the unit disk.
     """
-    a, b = cfg.a, cfg.b
-    mab, m1, a2, b2, _ = _moduli(cfg)
-    num = b * (1 - a2) ** 2 + a * mab * (m1 - mab)    # = conj(Q)
     if path == "synthetic":
+        a, b, num = cfg.a, cfg.b, _moduli(cfg)[-1]    # num = conj(Q)
         p = line_intersection(a, cfg.b_end, cfg.a_star, b)
         q = line_intersection(a, cfg.b_star, cfg.a_star, cfg.b_end)
         pc = _positive_multiple(gcis_roots(a, cfg.b_end, cfg.a_star, b), num)
@@ -182,22 +234,7 @@ def pq_family(cfg: DiskConfig, path: str = "closed_form"
         return p, q, pc, qc
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
-    sc = scale_of(a, b)
-    p = _checked_div("p", num, (1 - a2) ** 2 + a2 * mab * (m1 - mab), sc)
-    q = _checked_div("q", num, b2 * (1 - a2) ** 2 + mab * (m1 - mab), sc)
-    Q = num.conjugate()
-    R = (1 - a2) * m1 * (mab - m1)
-    if abs(Q) <= _DENOM_TOL * sc:
-        raise DegenerateDenominator("Q vanishes")
-    qc = _positive_multiple(_complex_quadratic_roots(Q, R, -num), num)
-    pc = _positive_multiple(_complex_quadratic_roots(Q, -R, -num), num)
-    return p, q, pc, qc
-
-
-def _complex_quadratic_roots(c2: complex, c1: complex, c0: complex
-                             ) -> tuple[complex, complex]:
-    disc = cmath.sqrt(c1 * c1 - 4 * c2 * c0)
-    return (-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)
+    return _entries(cfg, ("p", "q", "p_c", "q_c"))
 
 
 def collinearity_residual(points: list[complex]) -> float:
@@ -228,74 +265,23 @@ def family_report(a: complex, b: complex
     than two survive).
     """
     cfg = build_config(a, b)
-    mab, m1, a2, b2, ab2 = _moduli(cfg)
-    H = h_vector(a, b)
-    numq = b * (1 - a2) ** 2 + a * mab * (m1 - mab)
-    Q, R = numq.conjugate(), (1 - a2) * m1 * (mab - m1)
-    shared = (1 - a2) * (1 - b2) * m1
-
-    def quad_point(r: float) -> complex:
-        if not cmath.isfinite(complex(r)):
-            raise NearBoundary("|a-b| within rounding of |1 - a conj(b)|")
-        return gcis_quadratic_solve(GcisQuadratic(H, r))
-
-    def ratio(num: complex, den: float) -> complex:
-        return _checked_div("point", num, den)
-
-    makers: dict[str, object] = {
-        "k": lambda: ratio((mab - m1) * H,
-                           (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
-        "s": lambda: ratio(H, 2 - 2 * (a * b.conjugate()).real - mab * m1),
-        "t": lambda: ratio(H, 2 * (a * b.conjugate()).real - 2 * ab2 + mab * m1),
-        "u": lambda: ratio(H, 1 - ab2),
-        "v": lambda: ratio((m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab),
-        "m": lambda: hyperbolic_midpoint(a, b),
-        "k_c": lambda: quad_point(shared / (mab - m1)) if abs(m1 - mab) > 1e-10
-        else _near_boundary(),
-        "s_c": lambda: quad_point(m1 * (m1 - mab)),
-        "t_c": lambda: quad_point(m1 * (mab - m1)),
-        "u_c": lambda: quad_point(0.0),
-        "v_c": lambda: quad_point(shared / (m1 - mab)) if abs(m1 - mab) > 1e-10
-        else _near_boundary(),
-        "p": lambda: ratio(numq, (1 - a2) ** 2 + a2 * mab * (m1 - mab)),
-        "q": lambda: ratio(numq, b2 * (1 - a2) ** 2 + mab * (m1 - mab)),
-        "p_c": lambda: _positive_multiple(
-            _complex_quadratic_roots(Q, -R, -numq), numq),
-        "q_c": lambda: _positive_multiple(
-            _complex_quadratic_roots(Q, R, -numq), numq),
-    }
-    points: dict[str, complex] = {
-        "a_star": cfg.a_star, "b_star": cfg.b_star,
-        "a_end": cfg.a_end, "b_end": cfg.b_end, "H": H,
-    }
-    statuses: dict[str, str] = {name: "ok" for name in points}
-    for name, make in makers.items():
+    points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
+              "a_end": cfg.a_end, "b_end": cfg.b_end}
+    statuses = dict.fromkeys([*points, *_CLOSED_FORMS], "ok")
+    x = _moduli(cfg)
+    for name, form in _CLOSED_FORMS.items():
         try:
-            points[name] = make()                     # type: ignore[operator]
-            statuses[name] = "ok"
+            points[name] = _solved(form(*x))
         except (DegenerateDenominator, NearBoundary) as exc:
             statuses[name] = f"degenerate: {exc}"
-    h_family = [points[n] for n in
-                ("k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c", "v_c")
-                if n in points]
+    h_family = [points[n] for n in _H_FAMILY if n in points]
     residual = collinearity_residual([0j, *h_family]) if len(h_family) >= 2 else None
     return points, statuses, residual
-
-
-def _near_boundary() -> complex:
-    raise NearBoundary("|a-b| within rounding of |1 - a conj(b)|")
 
 
 def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     """Full point family for (a, b) plus the collinearity residual of the
     eleven H-direction points with the origin."""
-    cfg = build_config(a, b)
-    k, s, t, u, v = five_points_euclid(cfg)
-    kc, sc, tc, uc, vc = five_points_chordal(cfg)
-    m = hyperbolic_midpoint(a, b)
-    p, q, pc, qc = pq_family(cfg)
-    fam = PointFamily(k, s, t, u, v, m, kc, sc, tc, uc, vc, p, q, pc, qc,
-                      h_vector(a, b))
-    residual = collinearity_residual(
-        [0j, k, m, s, t, u, v, kc, sc, tc, uc, vc])
-    return fam, residual
+    x = _moduli(build_config(a, b))
+    values = [_solved(form(*x)) for form in _CLOSED_FORMS.values()]
+    return PointFamily(*values), collinearity_residual([0j, *values[:len(_H_FAMILY)]])

@@ -18,10 +18,6 @@ class ParallelLines(GeometryError):
     """The two lines do not meet (intersection denominator vanished)."""
 
 
-class ParallelChords(GeometryError):
-    """Two unit-circle chords are parallel (ac = bd)."""
-
-
 class DegenerateModuli(GeometryError):
     """A closed-form denominator |a| = |b| or |a||b| = 1 vanished."""
 

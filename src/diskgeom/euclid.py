@@ -19,12 +19,10 @@ from .errors import (
     DegenerateInput,
     DegenerateModuli,
     NoRealIntersection,
-    ParallelChords,
     ParallelLines,
 )
 
 IDENTITY_TOL = 1e-9      # default tolerance for algebraic identities
-INVOLUTION_TOL = 1e-12   # default tolerance for involutions / exact structure
 DEGENERACY_TOL = 1e-12   # denominators below this (times scale) are degenerate
 
 
@@ -188,18 +186,6 @@ def circumcenter_with_inversion(a: complex, b: complex, sign: int) -> complex:
     if sign == 1:
         return (-a + b + a * b * (a.conjugate() - b.conjugate())) / d
     return (a - b + a * b * (a.conjugate() - b.conjugate())) / d
-
-
-def chord_conjugate_intersection(a: complex, b: complex, c: complex,
-                                 d: complex) -> complex:
-    """Intersection of chords (a,c) and (b,d) of the unit circle."""
-    for z in (a, b, c, d):
-        if abs(abs(z) - 1) > 1e-12:
-            raise DegenerateInput(f"{z} is not on the unit circle")
-    den = a * c - b * d
-    if abs(den) <= DEGENERACY_TOL:
-        raise ParallelChords("chords are parallel")
-    return ((a + c - b - d) / den).conjugate()
 
 
 def circle_circle_intersection(c1: Circle, c2: Circle,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .euclid import Circle, line_intersection
 from .hyperbolic import (
     chord_vs_geodesic_midpoint,
+    conjecture_points,
     hyperbolic_line,
     midpoint_via_inversion,
 )
@@ -126,10 +127,7 @@ def figure_6() -> FigureData:
     a, b = cmath.exp(-0.1j), cmath.exp(0.5j)
     c, d = cmath.exp(1.5j), cmath.exp(3.3j)
     h = b + 0.447 * (c - b)
-    g = line_intersection(a, b, c, d)
-    j = line_intersection(g, h, a, c)
-    k = line_intersection(g, h, b, d)
-    l = line_intersection(g, h, a, d)
+    g, j, k, l = conjecture_points(a, b, c, d, h)
     f, m = chord_vs_geodesic_midpoint(a, b, c, d)
     fig = FigureData(6, {"a": _fmt(a), "b": _fmt(b), "c": _fmt(c),
                          "d": _fmt(d), "h": _fmt(h)},

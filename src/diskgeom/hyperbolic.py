@@ -29,7 +29,6 @@ from .euclid import (
     gencircle_intersection,
     in_disk_point,
     line_intersection,
-    orthocenter,            # noqa: F401  (re-exported; used by the harness)
     scale_of,
 )
 from . import euclid
@@ -217,3 +216,12 @@ def chord_vs_geodesic_midpoint(a: complex, b: complex, c: complex, d: complex
         raise OriginIntersection("chords meet at the origin")
     m = geodesic_intersection_on_circle(a, b, c, d)
     return f, m
+
+
+def conjecture_points(a: complex, b: complex, c: complex, d: complex,
+                      h: complex) -> tuple[complex, complex, complex, complex]:
+    """Points g, j, k, l of the equal-distance conjecture: g = L[a,b] ^ L[c,d],
+    and j, k, l where the line through g and h meets L[a,c], L[b,d], L[a,d]."""
+    g = line_intersection(a, b, c, d)
+    return (g, line_intersection(g, h, a, c), line_intersection(g, h, b, d),
+            line_intersection(g, h, a, d))

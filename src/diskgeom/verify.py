@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
 from .euclid import line_intersection, orthocenter, scale_of
 from .hyperbolic import (
     chord_vs_geodesic_midpoint,
+    conjecture_points,
     geodesic_intersection_on_circle,
     hyperbolic_line,
     hyperbolic_midpoint,
@@ -39,7 +40,6 @@ from .spherical import (
     chordal_midpoint,
     gcis,
     great_circle_projection,
-    gencircle_from_pair_intersection,
     orthogonal_great_circle,
     to_sphere,
 )
@@ -93,21 +93,7 @@ class VerificationReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "sampler": self.sampler,
-            "requested": self.requested,
-            "evaluated": self.evaluated,
-            "skipped": self.skipped,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "worst_input": self.worst_input,
-            "passed": self.passed,
-            "assertive": self.assertive,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 def _rng(spec: SampleSpec, index: int) -> np.random.Generator:
@@ -183,12 +169,6 @@ SAMPLERS: dict[str, Callable] = {
 # independent oracles
 
 
-def gcis_oracle(a: complex, b: complex, c: complex, d: complex) -> complex:
-    """Great-circle intersection via brute-force circle intersection of the
-    two projected circles; never touches the intersection quadratic."""
-    return gencircle_from_pair_intersection(a, b, c, d)
-
-
 def midpoint_oracle(x: complex, y: complex) -> complex:
     """Hyperbolic midpoint by bisection along the T_x-straightened geodesic."""
     if x == y:
@@ -212,10 +192,7 @@ def conjecture_check(a: complex, b: complex, c: complex, d: complex,
     Samples whose derived points leave the open disk raise PointOutsideDisk
     (a skip signal, not a failure).
     """
-    g = line_intersection(a, b, c, d)
-    j = line_intersection(g, h, a, c)
-    k = line_intersection(g, h, b, d)
-    l = line_intersection(g, h, a, d)
+    _, j, k, l = conjecture_points(a, b, c, d, h)
     for z in (h, j, k, l):
         if abs(z) >= 1:
             raise PointOutsideDisk(f"derived point {z} outside the open disk")
@@ -227,10 +204,7 @@ def mobius_invariance_check(a: complex, b: complex, c: complex, d: complex,
                             ) -> tuple[float, float]:
     """Moduli-difference residuals (| |T_w(h)|-|T_w(l)| |, | |T_w(j)|-|T_w(k)| |)
     for a conjecture configuration; w defaults to 1/conj(g)."""
-    g = line_intersection(a, b, c, d)
-    j = line_intersection(g, h, a, c)
-    k = line_intersection(g, h, b, d)
-    l = line_intersection(g, h, a, d)
+    g, j, k, l = conjecture_points(a, b, c, d, h)
     if w is None:
         w = 1 / g.conjugate()
     return (abs(abs(mobius_T(w, h)) - abs(mobius_T(w, l))),
@@ -368,10 +342,16 @@ def _residual_chordal_midpoint(sample: Sequence[complex]) -> float:
     return max(residuals)
 
 
-def _residual_conjecture(sample: Sequence) -> float:
+def conjecture_inputs(sample: Sequence
+                      ) -> tuple[complex, complex, complex, complex, complex]:
+    """(a, b, c, d, h) of a circle_quadruple sample (a, b, c, d, t): h lies
+    on the chord from b to c, a fraction 0.05 + 0.9 t of the way."""
     a, b, c, d, tpos = sample
-    h = b + (0.05 + 0.9 * tpos) * (c - b)
-    return conjecture_check(a, b, c, d, h)
+    return a, b, c, d, b + (0.05 + 0.9 * tpos) * (c - b)
+
+
+def _residual_conjecture(sample: Sequence) -> float:
+    return conjecture_check(*conjecture_inputs(sample))
 
 
 @dataclass(frozen=True)
@@ -448,7 +428,7 @@ def run_check(theorem_id: str, spec: SampleSpec,
             continue
         evaluated += 1
         sum_res += r
-        if r >= max_res:
+        if r >= max_res or math.isnan(r):    # a NaN stays the max once seen
             max_res, worst = r, sample
     if evaluated < 0.9 * spec.count:
         raise SamplerStarvation(
@@ -464,7 +444,7 @@ def run_check(theorem_id: str, spec: SampleSpec,
         max_residual=max_res,
         mean_residual=sum_res / evaluated,
         worst_input=_flatten_input(worst),
-        passed=(max_res <= tol) or not check.assertive,
+        passed=math.isfinite(max_res) and (max_res <= tol or not check.assertive),
         assertive=check.assertive,
         wall_time_s=time.perf_counter() - start,
     )

@@ -1,6 +1,7 @@
 """Tests for the named intersection-point families."""
 
 import cmath
+import dataclasses
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,11 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 from diskgeom.errors import (
     CoincidentPoints,
     CollinearWithOrigin,
+    DegenerateDenominator,
+    GeometryError,
     OutsideDisk,
     ZeroPoint,
 )
 from diskgeom.euclid import line_intersection, scale_of
 from diskgeom.configurations import (
+    PointFamily,
     build_config,
     chordal_quadratics,
     collinearity_residual,
@@ -170,6 +174,23 @@ def test_pq_paths_agree_and_collinear_with_origin(pts):
     assert collinearity_residual([0j, *closed]) <= 1e-8
 
 
+def test_pq_chordal_pair_has_no_cutoff_of_its_own_near_the_boundary():
+    # |a| near 1 sends p's denominator below rounding, so pq_family refuses
+    # there; p_c and q_c need only Q != 0, which build_config guarantees, and
+    # still match the synthetic great-circle roots
+    a = 0.971285102355175 - 0.23791857838940397j
+    b = 0.04895685121867853 + 0.07952253489845575j
+    cfg = build_config(a, b)
+    with pytest.raises(DegenerateDenominator):
+        pq_family(cfg)
+    points, statuses, _ = family_report(a, b)
+    assert statuses["p"].startswith("degenerate")
+    assert statuses["p_c"] == statuses["q_c"] == "ok"
+    _, _, pc, qc = pq_family(cfg, path="synthetic")
+    assert abs(points["p_c"] - pc) <= 1e-14 * scale_of(pc)
+    assert abs(points["q_c"] - qc) <= 1e-14 * scale_of(qc)
+
+
 def test_pq_synthetic_definition():
     # p and q really are the stated chord intersections
     cfg = build_config(0.5 + 0j, 0.6 * cmath.exp(1j))
@@ -216,6 +237,42 @@ def test_family_report_flags_degenerate_points():
     assert statuses["v_c"].startswith("degenerate")
     assert statuses["u_c"] == "ok"
     assert residual is not None
+
+
+def _agreement_pairs():
+    regular = [(0.5 + 0j, 0.6 * cmath.exp(1j)), (0.3 + 0.2j, -0.4 + 0.5j),
+               (0.05 + 0.01j, 0.9 * cmath.exp(2.5j)), (-0.7 - 0.1j, 0.2 - 0.6j)]
+    a = 0.6 * cmath.exp(0.3j)
+    collinear = [(a, 0.4 * cmath.exp(1j * (0.3 + turn + eps)))
+                 for turn in (0.0, cmath.pi) for eps in (1e-6, 1e-9, -1e-11)]
+    moduli = [(a, 0.6 * (1 + eps) * cmath.exp(1.1j))
+              for eps in (1e-6, 1e-10, -1e-14, 0.0)]
+    boundary = [((1 - eps) * cmath.exp(0.4j), b)
+                for eps in (1e-4, 1e-6, 1e-8, 1e-10, 1e-13)
+                for b in (0.5 * cmath.exp(2j), 0.97 * cmath.exp(-0.5j))]
+    return regular + collinear + moduli + boundary
+
+
+def test_family_report_and_eleven_points_agree_bit_for_bit():
+    # eleven_points either returns every point exactly as family_report
+    # does, or raises the first degeneracy family_report flags
+    outcomes = set()
+    for a, b in _agreement_pairs():
+        points, statuses, residual = family_report(a, b)
+        try:
+            fam, fam_residual = eleven_points(a, b)
+        except GeometryError as exc:
+            outcomes.add("raised")
+            flagged = [s for s in statuses.values() if s != "ok"]
+            assert flagged and flagged[0] == f"degenerate: {exc}", (a, b)
+            continue
+        outcomes.add("returned")
+        assert all(s == "ok" for s in statuses.values()), (a, b)
+        for field in dataclasses.fields(PointFamily):
+            name = field.name if len(field.name) == 1 else field.name[0] + "_c"
+            assert repr(points[name]) == repr(getattr(fam, field.name)), (a, b, name)
+        assert repr(residual) == repr(fam_residual), (a, b)
+    assert outcomes == {"raised", "returned"}
 
 
 def test_collinearity_residual_exact_line():

@@ -1,5 +1,8 @@
 """Tests for the randomized verification harness."""
 
+import dataclasses
+import math
+
 import pytest
 
 from diskgeom.errors import SamplerMismatch, UnknownTheorem
@@ -127,6 +130,26 @@ def test_tolerance_override_can_fail_a_check():
     report = run_check("eleven_points", default_spec("eleven_points", 30, 5),
                        tol=1e-30)
     assert not report.passed
+
+
+@pytest.mark.parametrize("theorem_id, residuals", [
+    ("lens_lemma", [math.nan]),
+    ("lens_lemma", [math.inf]),
+    ("lens_lemma", [0.0, math.nan, 1e-12, 0.0]),     # one NaN among finite ones
+    ("conjecture", [math.nan]),                      # fails even when report-only
+])
+def test_non_finite_residual_fails_the_check(monkeypatch, theorem_id, residuals):
+    calls = iter(range(10 ** 6))
+
+    def fn(sample):
+        return residuals[next(calls) % len(residuals)]
+
+    monkeypatch.setitem(CHECKS, theorem_id,
+                        dataclasses.replace(CHECKS[theorem_id], fn=fn))
+    report = run_check(theorem_id, default_spec(theorem_id, 30, 5))
+    assert not report.passed
+    assert not math.isfinite(report.max_residual)
+    assert len(report.worst_input) > 0
 
 
 def test_conjecture_check_never_fails_on_residual():
