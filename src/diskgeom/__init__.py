@@ -10,14 +10,10 @@ figures (labeled figure reproduction), cli (command-line front end).
 
 from .errors import GeometryError
 from .euclid import (
-    Circle,
     GenCircle,
-    Line,
     circumcenter,
-    circumcenter_with_inversion,
     line_intersection,
     orthocenter,
-    reflect_in_line,
     unit_chord_endpoints,
 )
 from .hyperbolic import (
@@ -60,9 +56,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "GeometryError",
-    "Circle", "GenCircle", "Line",
-    "circumcenter", "circumcenter_with_inversion", "line_intersection",
-    "orthocenter", "reflect_in_line", "unit_chord_endpoints",
+    "GenCircle", "circumcenter", "line_intersection", "orthocenter",
+    "unit_chord_endpoints",
     "Geodesic", "absolute_ratio", "chord_vs_geodesic_midpoint",
     "geodesic_endpoints", "geodesic_intersection_on_circle",
     "hyperbolic_line", "hyperbolic_midpoint", "midpoint_via_inversion",

@@ -23,7 +23,13 @@ import sys
 
 from .errors import GeometryError
 from .configurations import collinearity_residual, family_report
-from .figures import FIGURE_IDS, build_figure, figure_json, figure_svg
+from .figures import (
+    FIGURE_IDS,
+    build_figure,
+    figure_json,
+    figure_svg,
+    format_complex,
+)
 from .hyperbolic import conjecture_points
 from .verify import CHECKS, conjecture_inputs, default_spec, run_check
 
@@ -48,11 +54,6 @@ def parse_complex(text: str) -> complex:
             imag_text += "1"
         return complex(real, float(imag_text))
     return complex(real, 0.0)
-
-
-def format_complex(z: complex) -> str:
-    """Round-trippable cartesian form (17 significant digits)."""
-    return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
 def _default_tol(fallback: float | None = None) -> float | None:

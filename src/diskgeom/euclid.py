@@ -1,8 +1,11 @@
 """Euclidean primitives in the complex plane.
 
-Points are plain Python complex numbers.  Lines are stored as two defining
-points; the implicit form (conj(a)-conj(b))z - (a-b)conj(z) = conj(a)b - a conj(b)
-is derived on demand.  All predicates take an absolute tolerance scaled by
+Points are plain Python complex numbers.  A line or circle is one Hermitian
+form A|z|^2 + conj(B) z + B conj(z) + C = 0 with A, C real (Schwerdtfeger,
+Geometry of Complex Numbers, 1962); lines are A = 0.  The curves through
+a, b with C = sA are the geodesics of the unit disk (s = +1, orthogonal to
+the unit circle) and the projected great circles (s = -1, through
+antipodes).  All predicates take an absolute tolerance scaled by
 max(1, operand magnitudes).
 """
 
@@ -12,7 +15,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    AntipodalPair,
     ChordOutsideDisk,
+    CoincidentPoints,
     CollinearPoints,
     CollinearWithOrigin,
     ConcentricCircles,
@@ -24,6 +29,7 @@ from .errors import (
 
 IDENTITY_TOL = 1e-9      # default tolerance for algebraic identities
 DEGENERACY_TOL = 1e-12   # denominators below this (times scale) are degenerate
+INFINITY = complex(math.inf, math.inf)
 
 
 def scale_of(*zs: complex) -> float:
@@ -32,60 +38,67 @@ def scale_of(*zs: complex) -> float:
 
 
 @dataclass(frozen=True)
-class Line:
-    """Euclidean line through two distinct finite points."""
-
-    p: complex
-    q: complex
-
-    def __post_init__(self) -> None:
-        if self.p == self.q:
-            raise DegenerateInput("line requires two distinct points")
-
-    def side(self, z: complex) -> float:
-        """Signed residual of the implicit line equation at z (0 on the line)."""
-        a, b = self.p, self.q
-        val = (a.conjugate() - b.conjugate()) * z - (a - b) * z.conjugate() \
-            - (a.conjugate() * b - a * b.conjugate())
-        # the implicit form is purely imaginary for real offsets; use modulus
-        return abs(val)
-
-
-@dataclass(frozen=True)
-class Circle:
-    """Euclidean circle with finite center and positive radius."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise DegenerateInput("circle radius must be positive and finite")
-
-
-@dataclass(frozen=True)
 class GenCircle:
-    """A line or a circle: the class of curves closed under Moebius maps."""
+    """The line or circle A|z|^2 + conj(B) z + B conj(z) + C = 0 (A, C real).
 
-    line: Line | None = None
-    circle: Circle | None = None
+    A circle has A != 0, center -B/A and radius sqrt(|B|^2 - AC)/|A|; a line
+    has A = 0.  The coefficients stay bounded as a circle flattens into a
+    line, so no cutoff decides between the two.
+    """
 
-    def __post_init__(self) -> None:
-        if (self.line is None) == (self.circle is None):
-            raise DegenerateInput("exactly one of line/circle must be set")
+    A: float
+    B: complex
+    C: float
+
+    @classmethod
+    def line(cls, p: complex, q: complex) -> GenCircle:
+        """Line through two distinct finite points."""
+        if p == q:
+            raise DegenerateInput("line requires two distinct points")
+        return cls(0.0, 1j * (q - p), 2 * (q * p.conjugate()).imag)
+
+    @classmethod
+    def circle(cls, center: complex, radius: float) -> GenCircle:
+        """Circle with finite center and positive radius."""
+        if not (radius > 0 and math.isfinite(radius)):
+            raise DegenerateInput("circle radius must be positive and finite")
+        return cls(1.0, -center, abs(center) ** 2 - radius ** 2)
+
+    @classmethod
+    def through(cls, a: complex, b: complex, s: float) -> GenCircle:
+        """The curve through a, b with C = sA, hence also through s/conj(a).
+
+        s = +1 gives the curves orthogonal to the unit circle (geodesics),
+        s = -1 the stereographic projections of great circles; both are the
+        line through 0 when a, b, 0 are collinear.  The coefficients vanish
+        only for a == b and for b == s/conj(a) (the antipode of a for s = -1,
+        its mirror image in the unit circle for s = +1), which are refused.
+        """
+        if a == b:
+            raise CoincidentPoints("a curve through a, b needs a != b")
+        A = 2 * (b * a.conjugate()).imag
+        B = 1j * (b * (s + abs(a) ** 2) - a * (s + abs(b) ** 2))
+        if A == 0 and B == 0:
+            raise AntipodalPair("b = s/conj(a) lies on every curve of the family")
+        return cls(A, B, s * A)
+
+    def _root(self) -> float:
+        """sqrt(|B|^2 - AC): |A| times the radius, or |B| for a line."""
+        return math.sqrt(max(abs(self.B) ** 2 - self.A * self.C, 0.0))
 
     @property
-    def is_line(self) -> bool:
-        return self.line is not None
+    def center(self) -> complex:
+        """Center of a circle (A != 0)."""
+        return -self.B / self.A
+
+    @property
+    def radius(self) -> float:
+        return self._root() / abs(self.A)
 
     def residual(self, z: complex) -> float:
-        """Distance-like residual of z from the curve."""
-        if self.line is not None:
-            a, b = self.line.p, self.line.q
-            u = (b - a) / abs(b - a)
-            return abs(((z - a) * u.conjugate()).imag)
-        assert self.circle is not None
-        return abs(abs(z - self.circle.center) - self.circle.radius)
+        """Euclidean distance from z to the curve."""
+        f = self.A * abs(z) ** 2 + 2 * (self.B.conjugate() * z).real + self.C
+        return abs(f) / (abs(self.A * z + self.B) + self._root())
 
 
 def line_intersection(a: complex, b: complex, c: complex, d: complex,
@@ -130,13 +143,6 @@ def lis_inverse_pairs(case: int, a: complex, b: complex) -> complex:
     return (a * (1 + b2) + b * (1 + a2)) / den
 
 
-def reflect_in_line(x: complex, line: Line) -> complex:
-    """Mirror image of x in the given line."""
-    a, b = line.p, line.q
-    dc = a.conjugate() - b.conjugate()
-    return (a - b) / dc * x.conjugate() - (a * b.conjugate() - a.conjugate() * b) / dc
-
-
 def unit_chord_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
     """Endpoints of the chord L[a,b] on the unit circle, nearest-to-a first.
 
@@ -169,73 +175,37 @@ def circumcenter(a: complex, b: complex, c: complex) -> complex:
     return num / den
 
 
-def circumcenter_with_inversion(a: complex, b: complex, sign: int) -> complex:
-    """Center of the circle through a, b and +-1/conj(a).
-
-    sign=+1 gives the circle through a and its unit-circle reflection
-    (orthogonal to the unit circle); sign=-1 the circle through a and its
-    antipode (stereographic projection of a great circle).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if a == 0:
-        raise DegenerateInput("a must be nonzero")
-    d = b * a.conjugate() - a * b.conjugate()
-    if abs(d) <= DEGENERACY_TOL * scale_of(a, b):
-        raise CollinearWithOrigin("a, b collinear with the origin")
-    if sign == 1:
-        return (-a + b + a * b * (a.conjugate() - b.conjugate())) / d
-    return (a - b + a * b * (a.conjugate() - b.conjugate())) / d
-
-
-def circle_circle_intersection(c1: Circle, c2: Circle,
-                               tol: float = IDENTITY_TOL
-                               ) -> tuple[complex, complex] | None:
-    """Both intersection points of two circles, or None when disjoint."""
-    d = abs(c2.center - c1.center)
-    if d <= DEGENERACY_TOL * scale_of(c1.center, c2.center):
-        if abs(c1.radius - c2.radius) <= tol:
-            raise ConcentricCircles("circles coincide")
-        raise ConcentricCircles("concentric circles with distinct radii")
-    along = (d * d + c1.radius ** 2 - c2.radius ** 2) / (2 * d)
-    h2 = c1.radius ** 2 - along * along
-    if h2 < -tol * scale_of(c1.center, c2.center) * max(c1.radius, c2.radius):
-        return None
-    h = math.sqrt(max(h2, 0.0))
-    u = (c2.center - c1.center) / d
-    base = c1.center + along * u
-    return base + 1j * h * u, base - 1j * h * u
-
-
-def line_circle_intersection(line: Line, circle: Circle,
-                             tol: float = IDENTITY_TOL
-                             ) -> tuple[complex, complex] | None:
-    """Both intersection points of a line and a circle, or None."""
-    p, q = line.p, line.q
-    u = (q - p) / abs(q - p)
-    w = (circle.center - p) / u          # circle center in line coordinates
-    h2 = circle.radius ** 2 - w.imag ** 2
-    if h2 < -tol * scale_of(circle.center) * circle.radius:
-        return None
-    h = math.sqrt(max(h2, 0.0))
-    return p + (w.real + h) * u, p + (w.real - h) * u
-
-
 def gencircle_intersection(g1: GenCircle, g2: GenCircle
                            ) -> tuple[complex, complex] | None:
-    """Intersection points of two lines/circles (lines meet in one point)."""
-    if g1.is_line and g2.is_line:
-        assert g1.line is not None and g2.line is not None
-        z = line_intersection(g1.line.p, g1.line.q, g2.line.p, g2.line.q)
-        return z, z
-    if g1.is_line:
-        assert g1.line is not None and g2.circle is not None
-        return line_circle_intersection(g1.line, g2.circle)
-    if g2.is_line:
-        assert g2.line is not None and g1.circle is not None
-        return line_circle_intersection(g2.line, g1.circle)
-    assert g1.circle is not None and g2.circle is not None
-    return circle_circle_intersection(g1.circle, g2.circle)
+    """Both intersection points of two lines/circles, or None when they miss.
+
+    Rotating the pencil of g1, g2 by the angle of (A1, A2) gives a line L
+    (their radical line) and a curve G with A >= 0 through the same points;
+    the points are the roots of G along L.  Two lines (A1 = A2 = 0, which
+    atan2 maps to angle 0) meet at one finite point and at INFINITY.
+    """
+    theta = math.atan2(g2.A, g1.A)
+    c, s = math.cos(theta), math.sin(theta)
+    bl, cl = s * g1.B - c * g2.B, s * g1.C - c * g2.C
+    a, bg, cg = c * g1.A + s * g2.A, c * g1.B + s * g2.B, c * g1.C + s * g2.C
+    nl = abs(bl)
+    if nl <= DEGENERACY_TOL * (abs(s * g1.B) + abs(c * g2.B)):
+        raise ConcentricCircles("the circles are concentric or coincide")
+    n = bl / nl                    # unit normal of L
+    p = -cl / (2 * nl) * n         # foot of the perpendicular from 0 to L
+    u = 1j * n                     # z = p + t u runs along L
+    # G(p + t u) = a t^2 + 2 h t + k
+    h = (bg.conjugate() * u).real
+    k = a * abs(p) ** 2 + 2 * (bg.conjugate() * p).real + cg
+    disc = h * h - a * k
+    if disc < -IDENTITY_TOL * (h * h + abs(a * k)):
+        return None
+    q = -(h + math.copysign(math.sqrt(max(disc, 0.0)), h))
+    if a == 0 and abs(q) <= DEGENERACY_TOL * abs(bg):
+        raise ParallelLines("the lines are parallel or coincide")
+    if q == 0:                     # L touches G at p
+        return p, p
+    return p + k / q * u, (p + q / a * u if a else INFINITY)
 
 
 def orthocenter(p1: complex, p2: complex, p3: complex) -> complex:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass, field
 
-from .euclid import Circle, line_intersection
+from .euclid import GenCircle, line_intersection
 from .hyperbolic import (
     chord_vs_geodesic_midpoint,
     conjecture_points,
@@ -34,7 +33,7 @@ class FigureData:
     parameters: dict[str, str]
     points: dict[str, complex]
     segments: list[tuple[complex, complex]] = field(default_factory=list)
-    circles: list[tuple[Circle, str]] = field(default_factory=list)   # (circle, style)
+    circles: list[tuple[GenCircle, str]] = field(default_factory=list)   # (circle, style)
 
 
 def _config_figure(fig_id: int, a: complex, b: complex,
@@ -44,10 +43,12 @@ def _config_figure(fig_id: int, a: complex, b: complex,
     for n in names:
         if statuses.get(n) == "ok":
             chosen[n] = points[n]
-    return FigureData(fig_id, {"a": _fmt(a), "b": _fmt(b)}, chosen)
+    return FigureData(fig_id, {"a": format_complex(a), "b": format_complex(b)},
+                      chosen)
 
 
-def _fmt(z: complex) -> str:
+def format_complex(z: complex) -> str:
+    """Round-trippable cartesian form (17 significant digits)."""
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
@@ -63,9 +64,7 @@ def figure_1() -> FigureData:
         (p["a"], p["b_star"]), (p["b"], p["a_star"]),
         (p["v"], p["a_end"]), (p["v"], p["b_end"]),
     ]
-    geo = hyperbolic_line(a, b).carrier.circle
-    assert geo is not None
-    fig.circles = [(geo, "dashed")]
+    fig.circles = [(hyperbolic_line(a, b).carrier, "dashed")]
     return fig
 
 
@@ -79,10 +78,7 @@ def figure_2() -> FigureData:
              (p["a_end"], p["b_star"]), (p["b_end"], p["a_star"]),
              (p["a"], p["b_star"]), (p["b"], p["a_star"]),
              (p["a"], p["a_end"]), (p["b"], p["b_end"])]
-    for x, y in pairs:
-        proj = great_circle_projection(x, y)
-        if proj.circle is not None:
-            fig.circles.append((proj.circle, "dotted"))
+    fig.circles = _great_circles(pairs)
     return fig
 
 
@@ -95,14 +91,8 @@ def figure_3() -> FigureData:
         (p["a"], p["b_end"]), (p["a_star"], p["b"]),
         (p["a"], p["b_star"]), (p["a_star"], p["b_end"]),
     ]
-    geo = hyperbolic_line(a, b).carrier.circle
-    assert geo is not None
-    fig.circles = [(geo, "dashed")]
-    for x, y in ((p["a"], p["b_end"]), (p["a_star"], p["b"]),
-                 (p["a"], p["b_star"]), (p["a_star"], p["b_end"])):
-        proj = great_circle_projection(x, y)
-        if proj.circle is not None:
-            fig.circles.append((proj.circle, "dotted"))
+    fig.circles = [(hyperbolic_line(a, b).carrier, "dashed")]
+    fig.circles += _great_circles(fig.segments)
     return fig
 
 
@@ -112,14 +102,12 @@ def figure_5() -> FigureData:
     cfg = build_config(a, b)
     c = line_intersection(a, b, cfg.a_end, cfg.b_end)
     m = midpoint_via_inversion(a, b)
-    fig = FigureData(5, {"a": _fmt(a), "b": _fmt(b)},
+    fig = FigureData(5, {"a": format_complex(a), "b": format_complex(b)},
                      {"a": a, "b": b, "a_end": cfg.a_end, "b_end": cfg.b_end,
                       "c": c, "m": m})
     fig.segments = [(c, a), (c, cfg.a_end)]
-    geo = hyperbolic_line(a, b).carrier.circle
-    assert geo is not None
-    fig.circles = [(geo, "solid"),
-                   (Circle(c, math.sqrt(abs(c) ** 2 - 1)), "solid")]
+    fig.circles = [(hyperbolic_line(a, b).carrier, "solid"),
+                   (GenCircle(1.0, -c, 1.0), "solid")]
     return fig
 
 
@@ -129,17 +117,22 @@ def figure_6() -> FigureData:
     h = b + 0.447 * (c - b)
     g, j, k, l = conjecture_points(a, b, c, d, h)
     f, m = chord_vs_geodesic_midpoint(a, b, c, d)
-    fig = FigureData(6, {"a": _fmt(a), "b": _fmt(b), "c": _fmt(c),
-                         "d": _fmt(d), "h": _fmt(h)},
+    fig = FigureData(6, {name: format_complex(z) for name, z in
+                         zip("abcdh", (a, b, c, d, h))},
                      {"a": a, "b": b, "c": c, "d": d, "h": h,
                       "g": g, "j": j, "k": k, "l": l, "f": f, "m": m})
     fig.segments = [(g, a), (g, d), (g, l), (a, b), (a, c), (a, d),
                     (b, c), (b, d)]
-    for x, y in ((a, c), (b, d)):
-        geo = hyperbolic_line(x * (1 - 1e-12), y * (1 - 1e-12)).carrier.circle
-        if geo is not None:
-            fig.circles.append((geo, "solid"))
+    fig.circles = [(hyperbolic_line(x * (1 - 1e-12), y * (1 - 1e-12)).carrier,
+                    "solid") for x, y in ((a, c), (b, d))]
     return fig
+
+
+def _great_circles(pairs: list[tuple[complex, complex]]
+                   ) -> list[tuple[GenCircle, str]]:
+    """Dotted projected great circles through each pair; lines are not drawn."""
+    return [(g, "dotted") for g in (great_circle_projection(x, y) for x, y in pairs)
+            if g.A]
 
 
 _BUILDERS = {1: figure_1, 2: figure_2, 3: figure_3, 5: figure_5, 6: figure_6}

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from .errors import (
     CoincidentPoints,
-    CollinearWithOrigin,
     DegenerateDenominator,
     EqualModuli,
     InvalidCyclicOrder,
@@ -20,21 +19,16 @@ from .errors import (
     PoleHit,
 )
 from .euclid import (
-    Circle,
     GenCircle,
-    Line,
-    circle_circle_intersection,
     circumcenter,
-    circumcenter_with_inversion,
     gencircle_intersection,
     in_disk_point,
     line_intersection,
-    scale_of,
 )
 from . import euclid
 from .spherical import chordal_distance, great_circle_projection, is_infinity
 
-UNIT_CIRCLE = Circle(0j, 1.0)
+UNIT_CIRCLE = GenCircle.circle(0j, 1.0)
 
 
 def ahlfors_bracket(x: complex, y: complex) -> float:
@@ -107,17 +101,12 @@ class Geodesic:
 
 
 def hyperbolic_line(a: complex, b: complex) -> Geodesic:
-    """Geodesic through two distinct points of the open disk."""
-    if a == b:
-        raise CoincidentPoints("geodesic needs two distinct points")
+    """Geodesic through two distinct points of the open disk: the curve
+    through a, b and 1/conj(a), a diameter when a, b, 0 are collinear."""
+    carrier = GenCircle.through(a, b, +1)
     if abs(a) >= 1 or abs(b) >= 1:
         raise OutsideDisk("points must lie in the open disk")
-    cross = ((a if a != 0 else b) * (b - a).conjugate()).imag
-    if a == 0 or b == 0 or abs(cross) <= euclid.DEGENERACY_TOL * scale_of(a, b):
-        direction = (b - a) / abs(b - a)
-        return Geodesic(GenCircle(line=Line(-direction, direction)), a, b)
-    center = circumcenter_with_inversion(a, b, +1)
-    return Geodesic(GenCircle(circle=Circle(center, abs(a - center))), a, b)
+    return Geodesic(carrier, a, b)
 
 
 def hyperbolic_midpoint(x: complex, y: complex) -> complex:
@@ -166,23 +155,18 @@ def geodesic_intersection_on_circle(a: complex, b: complex, c: complex,
 def midpoint_via_lens(a: complex, b: complex) -> complex:
     """Hyperbolic midpoint built from a great circle and an orthogonal circle.
 
-    c is the center of the projected great circle through a and 1/conj(b);
-    {u, -u} is its intersection with the unit circle, and the midpoint is the
-    in-disk intersection of the diameter [-u, u] with the circle through
-    a, b, 1/conj(a).
+    The projected great circle through a and 1/conj(b) meets the unit circle
+    in {u, -u}, and the midpoint is the in-disk intersection of the diameter
+    [-u, u] with the circle through a, b, 1/conj(a).
     """
-    b_star = 1 / b.conjugate()
-    carrier = great_circle_projection(a, b_star)
-    if carrier.is_line or carrier.circle is None:
-        raise CollinearWithOrigin("a, b collinear with the origin")
-    c = carrier.circle.center
-    pts = circle_circle_intersection(UNIT_CIRCLE, Circle(c, abs(a - c)))
+    carrier = great_circle_projection(a, 1 / b.conjugate())
+    pts = gencircle_intersection(UNIT_CIRCLE, carrier)
     if pts is None:
         raise NoRealIntersection("great circle does not meet the unit circle")
     u = pts[0]
     v = circumcenter(a, b, 1 / a.conjugate())
-    chord = GenCircle(line=Line(-u, u))
-    target = GenCircle(circle=Circle(v, abs(a - v)))
+    chord = GenCircle.line(-u, u)
+    target = GenCircle.circle(v, abs(a - v))
     return in_disk_point(gencircle_intersection(chord, target))
 
 
@@ -197,10 +181,9 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
         raise EqualModuli("|a| == |b|: chord and endpoint chord are parallel")
     a_end, b_end = geodesic_endpoints(a, b)
     c = line_intersection(a, b, a_end, b_end)
-    r2 = abs(c) ** 2 - 1
-    if r2 <= 0:
+    if abs(c) <= 1:
         raise NoInDiskRoot("inversion center inside the unit circle")
-    inv_circle = GenCircle(circle=Circle(c, math.sqrt(r2)))
+    inv_circle = GenCircle(1.0, -c, 1.0)   # center c, orthogonal to |z| = 1
     return in_disk_point(
         gencircle_intersection(hyperbolic_line(a, b).carrier, inv_circle))
 

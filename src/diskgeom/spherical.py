@@ -22,16 +22,8 @@ from .errors import (
     NoRealIntersection,
     OutsideDisk,
 )
-from .euclid import (
-    Circle,
-    GenCircle,
-    Line,
-    line_intersection,
-    scale_of,
-)
+from .euclid import INFINITY, GenCircle, line_intersection, scale_of
 from . import euclid
-
-INFINITY = complex(math.inf, math.inf)
 
 
 def is_infinity(z: complex) -> bool:
@@ -91,20 +83,10 @@ def antipodal(a: complex) -> complex:
 
 
 def great_circle_projection(a: complex, b: complex) -> GenCircle:
-    """Stereographic projection of the great circle through the images of a, b.
-
-    A line through the origin when a, b, 0 are collinear, otherwise the circle
-    with center (a(1-|b|^2) - b(1-|a|^2)) / (b conj(a) - a conj(b)).
-    """
-    if a == b:
-        raise CoincidentPoints("great circle needs two distinct points")
-    d = b * a.conjugate() - a * b.conjugate()
-    if abs(d) <= euclid.DEGENERACY_TOL * scale_of(a, b) ** 2:
-        p, q = (a, b) if a != 0 and b != 0 else (0j, a if a != 0 else b)
-        return GenCircle(line=Line(p, q))
-    center = (a * (1 - abs(b) ** 2) - b * (1 - abs(a) ** 2)) / d
-    radius = abs(a - b) * abs(1 + a * b.conjugate()) / abs(d)
-    return GenCircle(circle=Circle(center, radius))
+    """Stereographic projection of the great circle through the images of a, b:
+    the curve through a, b and antipodal(a), a line through the origin when
+    a, b, 0 are collinear.  Antipodal a, b span no unique great circle."""
+    return GenCircle.through(a, b, -1)
 
 
 def _gcis_coefficients(a: complex, b: complex, c: complex, d: complex
@@ -176,7 +158,7 @@ def gencircle_from_pair_intersection(a: complex, b: complex, c: complex,
     inside = [z for z in pts if abs(z) <= 1 + 1e-9]
     if not inside:
         raise NoRealIntersection("no intersection inside the closed disk")
-    if len(inside) == 1 or inside[0] == inside[1]:
+    if len(inside) == 1:
         return inside[0]
     return min(inside, key=lambda z: abs(z - _tiebreak_reference(a, b, c, d)))
 
@@ -225,12 +207,11 @@ def chordal_midpoint(a: complex, b: complex) -> complex:
     return (a * (1 + abs(b) ** 2) + b * (1 + abs(a) ** 2)) / den
 
 
-def orthogonal_great_circle(a: complex, b: complex) -> Circle:
+def orthogonal_great_circle(a: complex, b: complex) -> GenCircle:
     """Projection of the great circle through the chordal midpoint of a, b
-    orthogonal to the great circle through a and b.  Requires |a| != |b|."""
+    orthogonal to the great circle through a and b: the points chordally
+    equidistant from a and b.  Requires |a| != |b|."""
     den = abs(a) ** 2 - abs(b) ** 2
     if abs(den) <= 1e-12:
         raise EqualModuli("construction requires |a| != |b|")
-    center = (b * (1 + abs(a) ** 2) - a * (1 + abs(b) ** 2)) / den
-    radius = abs(a - b) * math.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2)) / abs(den)
-    return Circle(center, radius)
+    return GenCircle(den, a * (1 + abs(b) ** 2) - b * (1 + abs(a) ** 2), -den)

@@ -330,15 +330,12 @@ def _residual_chordal_midpoint(sample: Sequence[complex]) -> float:
     vb = np.array([pb.xi, pb.eta, pb.zeta - 0.5])
     vm = np.array([pm.xi, pm.eta, pm.zeta - 0.5])
     residuals.append(abs(float(np.dot(np.cross(va, vb), vm))))
-    residuals.append(great_circle_projection(a, b).residual(m))
+    first = great_circle_projection(a, b)
     circ = orthogonal_great_circle(a, b)
-    residuals.append(abs(abs(m - circ.center) - circ.radius))
-    first = great_circle_projection(a, b).circle
-    if first is not None:
-        # right-angle meeting: |c1 - c2|^2 = r1^2 + r2^2
-        d2 = abs(first.center - circ.center) ** 2
-        residuals.append(abs(d2 - first.radius ** 2 - circ.radius ** 2)
-                         / max(1.0, d2))
+    residuals += [first.residual(m), circ.residual(m)]
+    # right-angle meeting: |c1 - c2|^2 = r1^2 + r2^2 (a, b, 0 not collinear)
+    d2 = abs(first.center - circ.center) ** 2
+    residuals.append(abs(d2 - first.radius ** 2 - circ.radius ** 2) / max(1.0, d2))
     return max(residuals)
 
 

@@ -3,7 +3,12 @@
 import cmath
 import math
 
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
+
+# Every run draws the same examples (derandomize implies no example
+# database), so a green Tier-1 stays green from run to run.
+settings.register_profile("diskgeom", derandomize=True)
+settings.load_profile("diskgeom")
 
 TAU = 2 * math.pi
 

@@ -7,27 +7,29 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from diskgeom.errors import (
+    AntipodalPair,
+    CoincidentPoints,
     CollinearPoints,
     CollinearWithOrigin,
+    ConcentricCircles,
     DegenerateInput,
     DegenerateModuli,
     ParallelLines,
 )
 from diskgeom.euclid import (
-    Circle,
-    Line,
-    circle_circle_intersection,
+    INFINITY,
+    GenCircle,
     circumcenter,
-    circumcenter_with_inversion,
+    gencircle_intersection,
     in_disk_point,
-    line_circle_intersection,
     line_intersection,
     lis_inverse_pairs,
     orthocenter,
-    reflect_in_line,
     scale_of,
     unit_chord_endpoints,
 )
+from diskgeom.hyperbolic import UNIT_CIRCLE, hyperbolic_line
+from diskgeom.spherical import great_circle_projection
 
 from conftest import polar_points, unit_circle_points, well_separated
 
@@ -68,8 +70,8 @@ def test_line_intersection_lies_on_both_lines(pts):
         return
     assume(abs(z) < 1e3)
     sc = scale_of(a, b, c, d, z) ** 2
-    assert Line(a, b).side(z) <= 1e-9 * sc
-    assert Line(c, d).side(z) <= 1e-9 * sc
+    assert GenCircle.line(a, b).residual(z) <= 1e-10 * sc
+    assert GenCircle.line(c, d).residual(z) <= 1e-10 * sc
 
 
 # ---------------------------------------------------------------------------
@@ -116,36 +118,6 @@ def test_lis_inverse_pairs_bad_case_raises():
 
 
 # ---------------------------------------------------------------------------
-# reflection
-
-
-def test_reflect_in_real_axis():
-    line = Line(0j, 1 + 0j)
-    assert reflect_in_line(0.3 + 0.4j, line) == pytest.approx(0.3 - 0.4j)
-
-
-@given(st.tuples(polar_points(0.05, 2.0), polar_points(0.05, 2.0),
-                 polar_points(0.05, 2.0)))
-def test_reflection_is_an_involution(pts):
-    x, p, q = pts
-    assume(abs(p - q) > 0.05)
-    line = Line(p, q)
-    twice = reflect_in_line(reflect_in_line(x, line), line)
-    assert abs(twice - x) <= EXACT_TOL * scale_of(x, p, q) ** 2
-
-
-@given(st.tuples(polar_points(0.05, 2.0), polar_points(0.05, 2.0),
-                 polar_points(0.05, 2.0)))
-def test_reflection_fixes_the_line_and_preserves_distance(pts):
-    x, p, q = pts
-    assume(abs(p - q) > 0.05)
-    line = Line(p, q)
-    assert abs(reflect_in_line(p, line) - p) <= 1e-9 * scale_of(p, q)
-    w = reflect_in_line(x, line)
-    assert abs(abs(w - p) - abs(x - p)) <= 1e-9 * scale_of(x, p, q)
-
-
-# ---------------------------------------------------------------------------
 # unit-circle chords
 
 
@@ -165,7 +137,7 @@ def test_unit_chord_endpoints_on_circle_and_ordered(pts):
     a1, b1 = unit_chord_endpoints(a, b)
     assert abs(abs(a1) - 1) <= EXACT_TOL
     assert abs(abs(b1) - 1) <= EXACT_TOL
-    assert Line(a, b).side(a1) <= 1e-9
+    assert GenCircle.line(a, b).residual(a1) <= 1e-10
     assert abs(a1 - a) < abs(a1 - b)
 
 
@@ -175,7 +147,7 @@ def test_unit_chord_through_origin_raises():
 
 
 # ---------------------------------------------------------------------------
-# circumcenter and the inversion shortcuts
+# circumcenter and the curves through a, b and s/conj(a)
 
 
 def test_circumcenter_right_triangle():
@@ -206,9 +178,30 @@ def test_circumcenter_with_inversion_matches_general_formula(pts):
     a, b = pts
     assume(well_separated(a, b))
     for sign in (1, -1):
-        shortcut = circumcenter_with_inversion(a, b, sign)
+        through = GenCircle.through(a, b, sign).center
         general = circumcenter(a, sign / a.conjugate(), b)
-        assert abs(shortcut - general) <= 1e-9 * scale_of(shortcut, general)
+        assert abs(through - general) <= 1e-9 * scale_of(through, general)
+
+
+def test_curve_through_a_pair_refuses_coincident_and_antipodal_points():
+    for sign in (1, -1):
+        with pytest.raises(CoincidentPoints):
+            GenCircle.through(0.3 + 0.4j, 0.3 + 0.4j, sign)
+    with pytest.raises(AntipodalPair):
+        GenCircle.through(0.5 + 0j, -2 + 0j, -1)     # -2 = -1/conj(0.5)
+    with pytest.raises(AntipodalPair):
+        great_circle_projection(0.5j, -2j)            # -2j = -1/conj(0.5j)
+
+
+def test_nearly_diametral_curves_meet_the_unit_circle_near_the_diameter():
+    # 1e-12 rad off collinear with 0: the true crossings sit ~1e-11 from +-1
+    a, b = 0.5 + 0j, cmath.rect(0.75, 1e-12)
+    for curve in (hyperbolic_line(a, b).carrier, great_circle_projection(a, b)):
+        pts = gencircle_intersection(UNIT_CIRCLE, curve)
+        assert pts is not None
+        for z in pts:
+            assert min(abs(z - 1), abs(z + 1)) <= 1e-10
+            assert curve.residual(z) <= EXACT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +209,8 @@ def test_circumcenter_with_inversion_matches_general_formula(pts):
 
 
 def test_circle_circle_intersection_symmetric_pair():
-    pts = circle_circle_intersection(Circle(0j, 1.0), Circle(1 + 0j, 1.0))
+    pts = gencircle_intersection(GenCircle.circle(0j, 1.0),
+                                 GenCircle.circle(1 + 0j, 1.0))
     assert pts is not None
     expected = 0.5 + 1j * math.sqrt(3) / 2
     assert sorted(pts, key=lambda z: z.imag) == [
@@ -224,14 +218,49 @@ def test_circle_circle_intersection_symmetric_pair():
 
 
 def test_circle_circle_disjoint_returns_none():
-    assert circle_circle_intersection(Circle(0j, 1.0), Circle(5 + 0j, 1.0)) is None
+    assert gencircle_intersection(GenCircle.circle(0j, 1.0),
+                                  GenCircle.circle(5 + 0j, 1.0)) is None
 
 
 def test_line_circle_intersection_diameter():
-    pts = line_circle_intersection(Line(-2 + 0j, 2 + 0j), Circle(0j, 1.0))
+    pts = gencircle_intersection(GenCircle.line(-2 + 0j, 2 + 0j),
+                                 GenCircle.circle(0j, 1.0))
     assert pts is not None
     assert sorted(pts, key=lambda z: z.real) == [
         pytest.approx(-1 + 0j), pytest.approx(1 + 0j)]
+
+
+@given(st.tuples(polar_points(0.05, 2.0), polar_points(0.05, 2.0),
+                 polar_points(0.05, 2.0), polar_points(0.05, 2.0)))
+def test_line_line_intersection_agrees_with_line_intersection(pts):
+    a, b, c, d = pts
+    assume(abs(a - b) > 0.05 and abs(c - d) > 0.05)
+    try:
+        want = line_intersection(a, b, c, d)
+    except ParallelLines:
+        return
+    assume(abs(want) < 1e3)
+    near, far = gencircle_intersection(GenCircle.line(a, b), GenCircle.line(c, d))
+    assert abs(near - want) <= 1e-9 * scale_of(a, b, c, d, want) ** 2
+    assert far == INFINITY
+
+
+def test_parallel_lines_raise():
+    with pytest.raises(ParallelLines):
+        gencircle_intersection(GenCircle.line(0j, 1 + 0j),
+                               GenCircle.line(1j, 1 + 1j))
+    with pytest.raises(ParallelLines):
+        line = GenCircle.line(0.2 + 0.1j, -0.7 + 0.4j)
+        gencircle_intersection(line, line)
+
+
+def test_concentric_circles_raise():
+    with pytest.raises(ConcentricCircles):
+        gencircle_intersection(GenCircle.circle(0.3 + 0.1j, 1.0),
+                               GenCircle.circle(0.3 + 0.1j, 2.0))
+    with pytest.raises(ConcentricCircles):
+        circle = GenCircle.circle(0.3 + 0.1j, 1.0)
+        gencircle_intersection(circle, circle)
 
 
 def test_in_disk_point_picks_interior_root():

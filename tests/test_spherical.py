@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from diskgeom.errors import (
     AntipodalPair,
@@ -92,7 +92,19 @@ def test_antipodal_of_origin_is_infinity():
 # great circle projections
 
 
+# pairs nearly collinear with 0, whose projected great circles have radii
+# up to ~1e10: nearly lines through 0
+NEAR_COLLINEAR_PAIRS = [
+    ((0.5 + 0j), (1 + 1e-08j)),
+    ((1 + 0j), cmath.rect(0.75, 1e-08)),
+    ((1.5027280857115837 + 0j), (0.5 + 5e-11j)),
+]
+
+
 @given(st.tuples(polar_points(0.05, 2.0), polar_points(0.05, 2.0)))
+@example(NEAR_COLLINEAR_PAIRS[0])
+@example(NEAR_COLLINEAR_PAIRS[1])
+@example(NEAR_COLLINEAR_PAIRS[2])
 def test_great_circle_projection_contains_defining_points(pts):
     a, b = pts
     assume(abs(a - b) > 0.05)
@@ -103,9 +115,16 @@ def test_great_circle_projection_contains_defining_points(pts):
     assert g.residual(antipodal(a)) <= 1e-7
 
 
+@pytest.mark.parametrize("a,b", NEAR_COLLINEAR_PAIRS)
+def test_great_circle_projection_near_collinear_with_origin(a, b):
+    g = great_circle_projection(a, b)
+    for z in (a, b, antipodal(a)):
+        assert g.residual(z) <= EXACT_TOL
+
+
 def test_great_circle_collinear_with_origin_is_a_line():
     g = great_circle_projection(0.5 + 0j, -0.25 + 0j)
-    assert g.is_line
+    assert g.A == 0
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +227,7 @@ def test_orthogonal_great_circle_through_midpoint(pts):
     circ = orthogonal_great_circle(a, b)
     assert abs(abs(m - circ.center) - circ.radius) <= 1e-7
     # orthogonality with the projected great circle through a, b
-    first = great_circle_projection(a, b).circle
-    assert first is not None
+    first = great_circle_projection(a, b)
     d2 = abs(first.center - circ.center) ** 2
     assert abs(d2 - first.radius ** 2 - circ.radius ** 2) \
         <= 1e-6 * max(1.0, d2)
