@@ -22,6 +22,7 @@ conj(Q) = b(1-|a|^2)^2 + a|a-b|(|1-conj(a)b| - |a-b|).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,8 +83,9 @@ def h_vector(a: complex, b: complex) -> complex:
     return a * (1 - abs(b) ** 2) + b * (1 - abs(a) ** 2)
 
 
-def build_config(a: complex, b: complex) -> DiskConfig:
-    """Validate a, b and derive reflections and geodesic endpoints."""
+def _check_pair(a: complex, b: complex) -> None:
+    """Refuse a, b unless both are nonzero, in the open disk, distinct and
+    not collinear with the origin."""
     if a == 0 or b == 0:
         raise ZeroPoint("a and b must be nonzero")
     if abs(a) >= 1 or abs(b) >= 1:
@@ -92,14 +94,18 @@ def build_config(a: complex, b: complex) -> DiskConfig:
         raise CoincidentPoints("a and b must be distinct")
     if abs((a * b.conjugate()).imag) <= _DENOM_TOL * abs(a) * abs(b):
         raise CollinearWithOrigin("a, b collinear with the origin")
+
+
+def build_config(a: complex, b: complex) -> DiskConfig:
+    """Validate a, b and derive reflections and geodesic endpoints."""
+    _check_pair(a, b)
     a_end, b_end = geodesic_endpoints(a, b)
     return DiskConfig(a, b, 1 / a.conjugate(), 1 / b.conjugate(), a_end, b_end)
 
 
-def _moduli(cfg: DiskConfig) -> tuple:
+def _moduli(a: complex, b: complex) -> tuple:
     """a, b, |a-b|, |1 - a conj(b)|, |a|^2, |b|^2, |ab|^2 and the directions
     H and conj(Q): what the closed forms read, in their parameter order."""
-    a, b = cfg.a, cfg.b
     mab, m1, a2 = abs(a - b), abs(1 - a * b.conjugate()), abs(a) ** 2
     return (a, b, mab, m1, a2, abs(b) ** 2, abs(a * b) ** 2, h_vector(a, b),
             b * (1 - a2) ** 2 + a * mab * (m1 - mab))
@@ -170,7 +176,7 @@ def _solved(value: complex | GcisQuadratic) -> complex:
 def _entries(cfg: DiskConfig, names: tuple[str, ...]) -> tuple:
     """The named table entries of cfg, in the given order; the first
     degenerate one raises."""
-    x = _moduli(cfg)
+    x = _moduli(cfg.a, cfg.b)
     return tuple([_CLOSED_FORMS[name](*x) for name in names])
 
 
@@ -225,7 +231,7 @@ def pq_family(cfg: DiskConfig, path: str = "closed_form"
     direction: q_c generally lies outside the unit disk.
     """
     if path == "synthetic":
-        a, b, num = cfg.a, cfg.b, _moduli(cfg)[-1]    # num = conj(Q)
+        a, b, num = cfg.a, cfg.b, _moduli(cfg.a, cfg.b)[-1]    # num = conj(Q)
         p = line_intersection(a, cfg.b_end, cfg.a_star, b)
         q = line_intersection(a, cfg.b_star, cfg.a_star, cfg.b_end)
         pc = _positive_multiple(gcis_roots(a, cfg.b_end, cfg.a_star, b), num)
@@ -238,20 +244,29 @@ def pq_family(cfg: DiskConfig, path: str = "closed_form"
 
 
 def collinearity_residual(points: list[complex]) -> float:
-    """Normalized cross-product residual of the points about the first one.
+    """Residual of the points lying on one line, measured about the first.
 
-    Zero for exactly collinear points; dimensionless.
+    With r_i = z_i - z_0 for the other points, the residual is the max over
+    pairs i < j of |Im(r_i conj(r_j))| / max(1, |r_i| |r_j|): zero for
+    exactly collinear points, dimensionless, and NaN when a point is NaN or
+    infinite.
     """
     if len(points) < 2:
         raise ValueError("need at least two points")
+    if not all(map(cmath.isfinite, points)):
+        return math.nan
     anchor = points[0]
-    rel = [z - anchor for z in points[1:]]
+    rel = [(r.real, r.imag, abs(r)) for r in [z - anchor for z in points[1:]]]
     worst = 0.0
-    for i in range(len(rel)):
-        for j in range(i + 1, len(rel)):
-            r = abs((rel[i] * rel[j].conjugate()).imag) \
-                / max(1.0, abs(rel[i]) * abs(rel[j]))
-            worst = max(worst, r)
+    for i, (xi, yi, mi) in enumerate(rel):
+        for xj, yj, mj in rel[i + 1:]:
+            # Im(r_i conj(r_j)) in the operations of Python's complex product
+            r = abs(xi * -yj + yi * xj)
+            d = mi * mj
+            if d > 1.0:
+                r /= d
+            if r > worst:
+                worst = r
     return worst
 
 
@@ -268,7 +283,7 @@ def family_report(a: complex, b: complex
     points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
               "a_end": cfg.a_end, "b_end": cfg.b_end}
     statuses = dict.fromkeys([*points, *_CLOSED_FORMS], "ok")
-    x = _moduli(cfg)
+    x = _moduli(a, b)
     for name, form in _CLOSED_FORMS.items():
         try:
             points[name] = _solved(form(*x))
@@ -282,6 +297,7 @@ def family_report(a: complex, b: complex
 def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     """Full point family for (a, b) plus the collinearity residual of the
     eleven H-direction points with the origin."""
-    x = _moduli(build_config(a, b))
+    _check_pair(a, b)
+    x = _moduli(a, b)
     values = [_solved(form(*x)) for form in _CLOSED_FORMS.values()]
     return PointFamily(*values), collinearity_residual([0j, *values[:len(_H_FAMILY)]])

@@ -66,13 +66,6 @@ def absolute_ratio(a: complex, b: complex, c: complex, d: complex) -> float:
         / (chordal_distance(a, b) * chordal_distance(c, d))
 
 
-def ep(a: complex, b: complex) -> complex:
-    """Unit-circle endpoint of the geodesic through a, b on the a side,
-    defined by pushing T_b(a) to the boundary and mapping back."""
-    t = mobius_T(b, a)
-    return mobius_T(-b, t / abs(t))
-
-
 def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
     """Endpoints (a_end, b_end) of the geodesic through a, b on the unit
     circle, a_end on the a side.  Closed forms avoiding the double Moebius

@@ -176,11 +176,14 @@ class GcisQuadratic:
         if not math.isfinite(self.R):
             raise NearBoundary("R is not finite")
 
+    def root(self, sign: float) -> complex:
+        """The root (-R + sign sqrt(R^2 + |H|^2)) / |H|^2 * H, sign = +-1."""
+        s = math.sqrt(self.R ** 2 + abs(self.H) ** 2)
+        return (-self.R + sign * s) / abs(self.H) ** 2 * self.H
+
     def roots(self) -> tuple[complex, complex]:
         """Both roots, as real multiples of H; moduli multiply to 1."""
-        s = math.sqrt(self.R ** 2 + abs(self.H) ** 2)
-        h2 = abs(self.H) ** 2
-        return (-self.R + s) / h2 * self.H, (-self.R - s) / h2 * self.H
+        return self.root(1.0), self.root(-1.0)
 
 
 def gcis_quadratic_solve(qd: GcisQuadratic) -> complex:
@@ -189,10 +192,8 @@ def gcis_quadratic_solve(qd: GcisQuadratic) -> complex:
     For R = 0 both roots lie on the unit circle and the positive real
     multiple of H is returned.
     """
-    zp, zm = qd.roots()
-    if qd.R >= 0:
-        return zp   # |zp| <= 1, equality iff R == 0
-    return zm
+    # the + root has |z| <= 1 for R >= 0, equality iff R == 0
+    return qd.root(1.0 if qd.R >= 0 else -1.0)
 
 
 def chordal_midpoint(a: complex, b: complex) -> complex:

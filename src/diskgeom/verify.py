@@ -103,11 +103,14 @@ def _rng(spec: SampleSpec, index: int) -> np.random.Generator:
 def sample_disk_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
     """Pair in the punctured disk, non-collinear with 0, within margins."""
     rng = _rng(spec, index)
+    lo, hi = spec.min_radius, 1 - spec.boundary_margin
+    if hi < lo:
+        raise ValueError("min_radius and boundary_margin leave no radii")
     for _ in range(1000):
-        ra = rng.uniform(spec.min_radius, 1 - spec.boundary_margin)
-        rb = rng.uniform(spec.min_radius, 1 - spec.boundary_margin)
-        ta = rng.uniform(0, 2 * math.pi)
-        tb = rng.uniform(0, 2 * math.pi)
+        # one draw per attempt; lo + (hi - lo) u is numpy's uniform(lo, hi)
+        ua, ub, va, vb = rng.random(4).tolist()
+        ra, rb = lo + (hi - lo) * ua, lo + (hi - lo) * ub
+        ta, tb = 2 * math.pi * va, 2 * math.pi * vb
         gap = abs(math.remainder(ta - tb, math.pi))
         if gap < spec.min_angle or math.pi - gap < spec.min_angle:
             continue
@@ -128,10 +131,11 @@ def sample_circle_quadruple(spec: SampleSpec, index: int
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]]))
         if np.min(gaps) < spec.min_gap:
             continue
-        start = rng.uniform(0, 2 * math.pi)
+        ustart, tpos = rng.random(2).tolist()
+        start = 2 * math.pi * ustart
         a, b, c, d = (complex(math.cos(t + start), math.sin(t + start))
                       for t in angles)
-        return a, b, c, d, float(rng.uniform(0, 1))
+        return a, b, c, d, tpos
     raise SamplerStarvation("circle_quadruple rejection sampling did not converge")
 
 
@@ -140,14 +144,17 @@ def sample_lens_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
     a on the upper arc, b on the lower (mirrored) arc."""
     rng = _rng(spec, index)
     for _ in range(1000):
-        t = rng.uniform(0.2, 3.0)                 # arc circle center at -it
+        ut, ua, ub = rng.random(3).tolist()
+        t = 0.2 + (3.0 - 0.2) * ut                # arc circle center at -it
         center = -1j * t
         radius = math.sqrt(1 + t * t)
         lo = math.atan2(t, -1.0)                  # angle of -1 seen from center
         hi = math.atan2(t, 1.0)                   # angle of +1 seen from center
-        margin = spec.min_angle
-        pa = center + radius * np.exp(1j * rng.uniform(hi + margin, lo - margin))
-        pb = center + radius * np.exp(1j * rng.uniform(hi + margin, lo - margin))
+        first, last = hi + spec.min_angle, lo - spec.min_angle
+        if last < first:
+            raise ValueError("min_angle leaves no arc to sample")
+        pa = center + radius * np.exp(1j * (first + (last - first) * ua))
+        pb = center + radius * np.exp(1j * (first + (last - first) * ub))
         a = complex(pa)
         b = complex(pb).conjugate()
         if a.imag <= 0 or b.imag >= 0:

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -281,3 +282,51 @@ def test_collinearity_residual_exact_line():
 
 def test_collinearity_residual_detects_offset():
     assert collinearity_residual([0j, 1 + 0j, 1 + 1j]) > 0.1
+
+
+def _pairwise_residual(points):
+    """collinearity_residual's definition in complex arithmetic, pair by pair."""
+    anchor = points[0]
+    rel = [z - anchor for z in points[1:]]
+    worst = 0.0
+    for i in range(len(rel)):
+        for j in range(i + 1, len(rel)):
+            r = abs((rel[i] * rel[j].conjugate()).imag) \
+                / max(1.0, abs(rel[i]) * abs(rel[j]))
+            worst = max(worst, r)
+    return worst
+
+
+_coord = st.floats(min_value=-50.0, max_value=50.0)
+_point = st.builds(complex, _coord, _coord)
+
+
+@st.composite
+def _nearly_collinear(draw):
+    """Points anchor + t d, each moved off the line by at most 1e-9."""
+    anchor, d = draw(_point), draw(_point)
+    ts = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                       min_size=1, max_size=11))
+    off = st.floats(min_value=-1e-9, max_value=1e-9)
+    return [anchor, *(anchor + t * d + complex(draw(off), draw(off)) for t in ts)]
+
+
+@given(st.one_of(st.lists(_point, min_size=2, max_size=12), _nearly_collinear()))
+def test_collinearity_residual_equals_its_pairwise_definition(points):
+    # moduli above 1 reach the max(1, |r_i||r_j|) normalization
+    assert collinearity_residual(points) == _pairwise_residual(points)
+
+
+@pytest.mark.parametrize("points", [[], [0.5j]])
+def test_collinearity_residual_needs_two_points(points):
+    with pytest.raises(ValueError):
+        collinearity_residual(points)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(-math.inf, math.nan)])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_collinearity_residual_is_nan_for_a_non_finite_point(bad, where):
+    points = [0j, 1 + 0j, 2 + 0j]
+    points[where] = bad
+    assert math.isnan(collinearity_residual(points))

@@ -17,7 +17,6 @@ from diskgeom.hyperbolic import (
     ahlfors_bracket,
     check_cyclic_order,
     chord_vs_geodesic_midpoint,
-    ep,
     geodesic_endpoints,
     geodesic_intersection_on_circle,
     hyperbolic_line,
@@ -125,6 +124,13 @@ def test_geodesic_endpoints_frozen_values():
         0.9330311550425227 - 0.35979558602075173j, abs=1e-12)
     assert b_end == pytest.approx(
         0.4745418527501684 + 0.8802329407540015j, abs=1e-12)
+
+
+def ep(a: complex, b: complex) -> complex:
+    """Unit-circle endpoint of the geodesic through a, b on the a side,
+    defined by pushing T_b(a) to the boundary and mapping back."""
+    t = mobius_T(b, a)
+    return mobius_T(-b, t / abs(t))
 
 
 @given(st.tuples(polar_points(), polar_points()))

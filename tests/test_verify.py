@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from diskgeom.errors import SamplerMismatch, UnknownTheorem
@@ -64,6 +65,92 @@ def test_samples_independent_of_schedule():
 
 def test_different_seeds_differ():
     assert sample_disk_pair(_spec(seed=1), 0) != sample_disk_pair(_spec(seed=2), 0)
+
+
+# The samplers as first written, one scalar rng.uniform call per value: the
+# reference that pins the sample stream.  A change that moves the stream must
+# change these deliberately.
+
+
+def _reference_rng(spec, index):
+    return np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, index])
+
+
+def _reference_disk_pair(spec, index):
+    rng = _reference_rng(spec, index)
+    while True:
+        ra = rng.uniform(spec.min_radius, 1 - spec.boundary_margin)
+        rb = rng.uniform(spec.min_radius, 1 - spec.boundary_margin)
+        ta = rng.uniform(0, 2 * math.pi)
+        tb = rng.uniform(0, 2 * math.pi)
+        gap = abs(math.remainder(ta - tb, math.pi))
+        if gap < spec.min_angle or math.pi - gap < spec.min_angle:
+            continue
+        if spec.moduli_margin and abs(ra - rb) < spec.moduli_margin:
+            continue
+        return complex(ra * math.cos(ta), ra * math.sin(ta)), \
+            complex(rb * math.cos(tb), rb * math.sin(tb))
+
+
+def _reference_circle_quadruple(spec, index):
+    rng = _reference_rng(spec, index)
+    while True:
+        angles = np.sort(rng.uniform(0, 2 * math.pi, size=4))
+        gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]]))
+        if np.min(gaps) < spec.min_gap:
+            continue
+        start = rng.uniform(0, 2 * math.pi)
+        a, b, c, d = (complex(math.cos(t + start), math.sin(t + start))
+                      for t in angles)
+        return a, b, c, d, float(rng.uniform(0, 1))
+
+
+def _reference_lens_pair(spec, index):
+    rng = _reference_rng(spec, index)
+    while True:
+        t = rng.uniform(0.2, 3.0)
+        center = -1j * t
+        radius = math.sqrt(1 + t * t)
+        lo, hi = math.atan2(t, -1.0), math.atan2(t, 1.0)
+        margin = spec.min_angle
+        a = complex(center + radius * np.exp(1j * rng.uniform(hi + margin, lo - margin)))
+        b = complex(center + radius
+                    * np.exp(1j * rng.uniform(hi + margin, lo - margin))).conjugate()
+        if a.imag <= 0 or b.imag >= 0:
+            continue
+        if abs(a) >= 1 - spec.boundary_margin or abs(b) >= 1 - spec.boundary_margin:
+            continue
+        return a, b
+
+
+@pytest.mark.parametrize("seed", [0, 20260823, 2**63 + 5])
+@pytest.mark.parametrize("sampler, reference, kw", [
+    (sample_disk_pair, _reference_disk_pair, {}),
+    (sample_disk_pair, _reference_disk_pair, {"moduli_margin": 0.02}),
+    (sample_circle_quadruple, _reference_circle_quadruple,
+     {"sampler": "circle_quadruple"}),
+    (sample_lens_pair, _reference_lens_pair, {"sampler": "lens_pair"}),
+])
+def test_sample_stream_matches_scalar_uniform_reference(seed, sampler, reference, kw):
+    spec = _spec(seed=seed, **kw)
+    for i in range(300):
+        assert sampler(spec, i) == reference(spec, i)
+
+
+def test_samplers_refuse_margins_that_leave_nothing_to_draw():
+    with pytest.raises(ValueError):
+        sample_disk_pair(_spec(min_radius=0.9, boundary_margin=0.2), 0)
+    with pytest.raises(ValueError):
+        sample_lens_pair(_spec(sampler="lens_pair", min_angle=1.5), 0)
+
+
+def test_disk_pair_golden_samples():
+    spec = _spec(seed=0)
+    assert [sample_disk_pair(spec, i) for i in range(3)] == [
+        (0.6027250907295207+0.15868954492180987j, 0.2912306349866395+0.030352379347737334j),
+        (0.2675131215158618-0.8076123238057866j, 0.5309685328077701-0.1487989090903445j),
+        (-0.09871241388530902-0.07294770983533458j, 0.25243144491234654+0.3258562103180995j),
+    ]
 
 
 # ---------------------------------------------------------------------------
