@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     CoincidentPoints,
@@ -56,8 +56,7 @@ class DiskConfig:
     b_end: complex
 
 
-@dataclass(frozen=True)
-class PointFamily:
+class PointFamily(NamedTuple):
     """All named intersection points of a configuration."""
 
     k: complex

@@ -1,7 +1,6 @@
 """Tests for the named intersection-point families."""
 
 import cmath
-import dataclasses
 import math
 
 import pytest
@@ -269,9 +268,9 @@ def test_family_report_and_eleven_points_agree_bit_for_bit():
             continue
         outcomes.add("returned")
         assert all(s == "ok" for s in statuses.values()), (a, b)
-        for field in dataclasses.fields(PointFamily):
-            name = field.name if len(field.name) == 1 else field.name[0] + "_c"
-            assert repr(points[name]) == repr(getattr(fam, field.name)), (a, b, name)
+        for field in PointFamily._fields:
+            name = field if len(field) == 1 else field[0] + "_c"
+            assert repr(points[name]) == repr(getattr(fam, field)), (a, b, name)
         assert repr(residual) == repr(fam_residual), (a, b)
     assert outcomes == {"raised", "returned"}
 

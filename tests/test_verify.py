@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from diskgeom.errors import SamplerMismatch, UnknownTheorem
 from diskgeom.verify import (
     CHECKS,
     SampleSpec,
+    _residual_explicit_formulas,
+    _rng,
     conjecture_check,
     default_spec,
     midpoint_oracle,
@@ -67,13 +71,14 @@ def test_different_seeds_differ():
     assert sample_disk_pair(_spec(seed=1), 0) != sample_disk_pair(_spec(seed=2), 0)
 
 
-# The samplers as first written, one scalar rng.uniform call per value: the
-# reference that pins the sample stream.  A change that moves the stream must
-# change these deliberately.
+# The samplers as first written, one scalar rng.uniform call per value, each
+# on a freshly built Philox generator: the reference that pins the sample
+# stream.  A change that moves the stream must change these deliberately.
 
 
 def _reference_rng(spec, index):
-    return np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, index])
+    return np.random.Generator(np.random.Philox(key=spec.seed & (2**64 - 1),
+                                                counter=index << 128))
 
 
 def _reference_disk_pair(spec, index):
@@ -147,10 +152,71 @@ def test_samplers_refuse_margins_that_leave_nothing_to_draw():
 def test_disk_pair_golden_samples():
     spec = _spec(seed=0)
     assert [sample_disk_pair(spec, i) for i in range(3)] == [
-        (0.6027250907295207+0.15868954492180987j, 0.2912306349866395+0.030352379347737334j),
-        (0.2675131215158618-0.8076123238057866j, 0.5309685328077701-0.1487989090903445j),
-        (-0.09871241388530902-0.07294770983533458j, 0.25243144491234654+0.3258562103180995j),
+        (0.04618615709483897+0.03891069366594894j, -0.24579126355783903-0.10529175694688635j),
+        (0.45784408380936775+0.43169824974881427j, -0.05659666230803706+0.09101285039768006j),
+        (-0.35676228893533135+0.8485161172477573j, 0.025231187696273295+0.49398663610406707j),
     ]
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**63 + 5, 2**64 - 1])
+def test_samples_ignore_interleaving_threads_and_extreme_indices(seed):
+    # every sampler re-keys one generator per thread, so nothing a previous
+    # sample drew (a long rejection run, a half-used block, a cached 32-bit
+    # half) may leak into the next one
+    plain = _spec(seed=seed)
+    picky = _spec(seed=seed, min_angle=1.5)        # accepts ~1 attempt in 20
+    lens = _spec(seed=seed, sampler="lens_pair")
+    first = sample_disk_pair(plain, 5)
+    sample_disk_pair(picky, 9)
+    sample_lens_pair(lens, 9)
+    assert sample_disk_pair(plain, 5) == first
+    _rng(plain, 9).integers(0, 2**32, size=3, dtype=np.uint32)
+    assert _rng(plain, 5).integers(0, 2**32, size=3, dtype=np.uint32).tolist() \
+        == _reference_rng(plain, 5).integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+    assert sample_disk_pair(plain, 5) == first
+
+    indices = [0, 1, 5, 9, 2**32, 2**64 - 1, 2**64]
+    for spec, sampler, reference in ((plain, sample_disk_pair, _reference_disk_pair),
+                                     (picky, sample_disk_pair, _reference_disk_pair),
+                                     (lens, sample_lens_pair, _reference_lens_pair)):
+        forward = [sampler(spec, i) for i in indices]
+        backward = [sampler(spec, i) for i in reversed(indices)]
+        assert forward == backward[::-1]
+        assert forward == [reference(spec, i) for i in indices]
+
+    # two threads on disjoint index ranges match one sequential run
+    spec = _spec(seed=seed, sampler="circle_quadruple")
+    sequential = [sample_circle_quadruple(spec, i) for i in range(400)]
+    results = [None, None]
+
+    def work(slot, start):
+        results[slot] = [sample_circle_quadruple(spec, i)
+                         for i in range(start, start + 200)]
+
+    threads = [threading.Thread(target=work, args=(k, 200 * k)) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results[0] + results[1] == sequential
+
+
+# ---------------------------------------------------------------------------
+# known defects (ROADMAP item 1)
+
+
+@pytest.mark.xfail(strict=True, reason="closed and synthetic paths of the line "
+                   "family disagree by 1.9e-9 on this near-parallel pair")
+def test_explicit_formulas_near_parallel_pair():
+    pair = (0.3354012204885022-0.8338315520651073j,
+            -0.09683382154370475-0.8013668324404474j)
+    assert _residual_explicit_formulas(pair) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
