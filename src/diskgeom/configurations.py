@@ -6,13 +6,12 @@ endpoints a_end, b_end.  The line family k, s, t, u, v, the great-circle
 family k_c ... v_c, and the p/q family each have two evaluation paths:
 synthetic intersections and closed forms, which must agree.
 
-_CLOSED_FORMS is the single source of the closed forms: it declares each
-named point's formula and degeneracy condition once, and the closed-form
-paths of five_points_euclid, chordal_quadratics, five_points_chordal and
-pq_family, as well as eleven_points and family_report, all read it.  The
-synthetic paths intersect lines and great circles and stay independent of
-it; the synthetic p/q path takes only the direction conj(Q) from _moduli,
-to pick between the two great-circle roots.
+One straight-line kernel per family (_line_family, _chordal_family,
+_pq_family) holds the closed forms over what _moduli computes once per pair
+and returns a degenerate point as its GeometryError instance: eleven_points
+raises the first in PointFamily order, family_report reports each.  The
+synthetic paths stay independent of the kernels, except that the p/q path
+takes the direction conj(Q) from _moduli to pick between two roots.
 
 All eleven points of the combined family are real multiples of
 H = a(1-|b|^2) + b(1-|a|^2); p, q, p_c, q_c are positive real multiples of
@@ -24,24 +23,25 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     CoincidentPoints,
     CollinearWithOrigin,
     DegenerateDenominator,
+    GeometryError,
     NearBoundary,
     OutsideDisk,
     ZeroPoint,
 )
 from .euclid import line_intersection
 from .hyperbolic import geodesic_endpoints, hyperbolic_midpoint
-from .spherical import GcisQuadratic, gcis, gcis_quadratic_solve, gcis_roots
+from .spherical import GcisQuadratic, gcis, gcis_roots, quadratic_error, quadratic_root
 
 _DENOM_TOL = 1e-12
 
-_CHORDAL = ("k_c", "s_c", "t_c", "u_c", "v_c")
-_H_FAMILY = ("k", "s", "t", "u", "v", "m", *_CHORDAL)
+_H_FAMILY = ("k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c", "v_c")
+_NAMES = (*_H_FAMILY, "p", "q", "p_c", "q_c", "H")       # PointFamily order
 
 
 @dataclass(frozen=True)
@@ -103,123 +103,108 @@ def build_config(a: complex, b: complex) -> DiskConfig:
 
 
 def _moduli(a: complex, b: complex) -> tuple:
-    """a, b, |a-b|, |1 - a conj(b)|, |a|^2, |b|^2, |ab|^2 and the directions
-    H and conj(Q): what the closed forms read, in their parameter order."""
-    mab, m1, a2 = abs(a - b), abs(1 - a * b.conjugate()), abs(a) ** 2
-    return (a, b, mab, m1, a2, abs(b) ** 2, abs(a * b) ** 2, h_vector(a, b),
+    """Re(a conj(b)), |a-b|, |1 - a conj(b)|, |a|^2, |b|^2, |ab|^2, H and conj(Q)."""
+    ab = a * b.conjugate()
+    mab, m1, a2 = abs(a - b), abs(1 - ab), abs(a) ** 2
+    return (ab.real, mab, m1, a2, abs(b) ** 2, abs(a * b) ** 2, h_vector(a, b),
             b * (1 - a2) ** 2 + a * mab * (m1 - mab))
 
 
-def _checked_div(name: str, num: complex, den: float) -> complex:
+def _quotient(name: str, num: complex, den: float) -> complex | GeometryError:
+    """num / den, or DegenerateDenominator when den is within rounding of 0."""
     if abs(den) <= _DENOM_TOL:
-        raise DegenerateDenominator(f"denominator of {name} vanishes")
+        return DegenerateDenominator(f"denominator of {name} vanishes")
     return num / den
 
 
-def _boundary_R(a2: float, b2: float, m1: float, gap: float) -> float:
-    """R of k_c (gap = |a-b| - |1 - a conj(b)|) or v_c (gap negated); refused
-    when the gap is within rounding of zero, which needs |a| = 1 or |b| = 1."""
+def _raised(values: list) -> list:
+    """A kernel's values, after raising the first GeometryError among them."""
+    for value in values:
+        if isinstance(value, GeometryError):
+            raise value
+    return values
+
+
+def _line_family(re, mab, m1, a2, b2, ab2, H: complex) -> list:
+    """k, s, t, u, v as real multiples of H; re = Re(a conj(b))."""
+    return [_quotient("k", (mab - m1) * H, (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
+            _quotient("s", H, 2 - 2 * re - mab * m1),
+            _quotient("t", H, 2 * re - 2 * ab2 + mab * m1),
+            _quotient("u", H, 1 - ab2),
+            _quotient("v", (m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab)]
+
+
+def _chordal_R(mab, m1, a2, b2) -> list:
+    """R of conj(H) z^2 + 2Rz - H = 0 for k_c ... v_c; k_c and v_c share R's numerator
+    and are refused when |a-b| is within rounding of |1 - a conj(b)| (|a| or |b| = 1)."""
+    num, gap = (1 - a2) * (1 - b2) * m1, mab - m1
     if abs(gap) <= 1e-10:
-        raise NearBoundary("|a-b| within rounding of |1 - a conj(b)|")
-    return (1 - a2) * (1 - b2) * m1 / gap
+        kc = vc = NearBoundary("|a-b| within rounding of |1 - a conj(b)|")
+    else:
+        kc, vc = num / gap, num / (m1 - mab)
+    return [kc, m1 * (m1 - mab), m1 * gap, 0.0, vc]
 
 
-def _pq_chordal(num: complex, a2: float, mab: float, m1: float, sign: float
-                ) -> complex:
-    """Root along num = conj(Q) of Q z^2 + sign R z - conj(Q) = 0: q_c for
-    sign = 1, p_c for sign = -1."""
-    c2, c1 = num.conjugate(), sign * ((1 - a2) * m1 * (mab - m1))
-    disc = cmath.sqrt(c1 * c1 - 4 * c2 * -num)
-    return _positive_multiple(((-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)), num)
+def _chordal_family(mab, m1, a2, b2, H: complex) -> list:
+    """k_c, s_c, t_c, u_c, v_c: each quadratic's root in the closed disk."""
+    H2 = abs(H) ** 2
+    return [R if isinstance(R, GeometryError)
+            else quadratic_error(H, R) or quadratic_root(H, H2, R)
+            for R in _chordal_R(mab, m1, a2, b2)]
 
 
-# The closed form of each named point, in PointFamily order, as a function of
-# what _moduli returns.  An entry raises DegenerateDenominator or NearBoundary
-# when its point's degeneracy condition holds.  A great-circle entry gives the
-# quadratic conj(H) z^2 + 2Rz - H = 0 of its point; _solved solves it.
-_CLOSED_FORMS: dict[str, Callable[..., complex | GcisQuadratic]] = {
-    "k": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
-        "k", (mab - m1) * H, (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
-    "s": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
-        "s", H, 2 - 2 * (a * b.conjugate()).real - mab * m1),
-    "t": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
-        "t", H, 2 * (a * b.conjugate()).real - 2 * ab2 + mab * m1),
-    "u": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div("u", H, 1 - ab2),
-    "v": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
-        "v", (m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab),
-    "m": lambda a, b, mab, m1, a2, b2, ab2, H, num: hyperbolic_midpoint(a, b),
-    "k_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(
-        H, _boundary_R(a2, b2, m1, mab - m1)),
-    "s_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(H, m1 * (m1 - mab)),
-    "t_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(H, m1 * (mab - m1)),
-    "u_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(H, 0.0),
-    "v_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: GcisQuadratic(
-        H, _boundary_R(a2, b2, m1, m1 - mab)),
-    "p": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
-        "p", num, (1 - a2) ** 2 + a2 * mab * (m1 - mab)),
-    "q": lambda a, b, mab, m1, a2, b2, ab2, H, num: _checked_div(
-        "q", num, b2 * (1 - a2) ** 2 + mab * (m1 - mab)),
-    "p_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _pq_chordal(num, a2, mab, m1, -1.0),
-    "q_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _pq_chordal(num, a2, mab, m1, 1.0),
-    "H": lambda a, b, mab, m1, a2, b2, ab2, H, num: H,
-}
+def _positive_multiple(roots: tuple[complex, complex], direction: complex) -> complex:
+    """Root that is a positive real multiple of direction; the first on a tie."""
+    d = direction.conjugate()
+    return roots[1] if (roots[1] * d).real > (roots[0] * d).real else roots[0]
 
 
-def _solved(value: complex | GcisQuadratic) -> complex:
-    """The point of a table entry: a quadratic's root in the closed disk."""
-    if isinstance(value, GcisQuadratic):
-        return gcis_quadratic_solve(value)
-    return value
+def _pq_family(mab, m1, a2, b2, num: complex) -> list:
+    """p, q, p_c, q_c as positive real multiples of num = conj(Q); p_c, q_c are
+    roots of Q z^2 -+ c1 z - conj(Q) = 0, which share one discriminant."""
+    c2, c1 = num.conjugate(), (1 - a2) * m1 * (mab - m1)
+    disc, two_c2 = cmath.sqrt(c1 * c1 - 4 * c2 * -num), 2 * c2
+    return [_quotient("p", num, (1 - a2) ** 2 + a2 * mab * (m1 - mab)),
+            _quotient("q", num, b2 * (1 - a2) ** 2 + mab * (m1 - mab)),
+            _positive_multiple(((c1 + disc) / two_c2, (c1 - disc) / two_c2), num),
+            _positive_multiple(((-c1 + disc) / two_c2, (-c1 - disc) / two_c2), num)]
 
 
-def _entries(cfg: DiskConfig, names: tuple[str, ...]) -> tuple:
-    """The named table entries of cfg, in the given order; the first
-    degenerate one raises."""
-    x = _moduli(cfg.a, cfg.b)
-    return tuple([_CLOSED_FORMS[name](*x) for name in names])
+def _chords(cfg: DiskConfig) -> tuple:
+    """(p1, p2, p3, p4) for k, s, t, u, v, p, q: where lines (or great circles)
+    p1p2 and p3p4 meet."""
+    a, b, ast, bst, ae, be = cfg.a, cfg.b, cfg.a_star, cfg.b_star, cfg.a_end, cfg.b_end
+    return ((ae, ast, be, bst), (a, be, b, ae), (ae, bst, be, ast), (a, bst, b, ast),
+            (a, ae, b, be), (a, be, ast, b), (a, bst, ast, be))
 
 
 def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
                        ) -> tuple[complex, complex, complex, complex, complex]:
     """Points k, s, t, u, v as line intersections or via their closed forms."""
-    a, b = cfg.a, cfg.b
     if path == "synthetic":
-        ast, bst, ae, be = cfg.a_star, cfg.b_star, cfg.a_end, cfg.b_end
-        return (line_intersection(ae, ast, be, bst),
-                line_intersection(a, be, b, ae),
-                line_intersection(ae, bst, be, ast),
-                line_intersection(a, bst, b, ast),
-                line_intersection(a, ae, b, be))
+        return tuple([line_intersection(*chords) for chords in _chords(cfg)[:5]])
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
-    return _entries(cfg, ("k", "s", "t", "u", "v"))
+    re, mab, m1, a2, b2, ab2, H, _ = _moduli(cfg.a, cfg.b)
+    return tuple(_raised(_line_family(re, mab, m1, a2, b2, ab2, H)))
 
 
 def chordal_quadratics(cfg: DiskConfig) -> dict[str, GcisQuadratic]:
     """Quadratic conj(H) z^2 + 2Rz - H = 0 for each great-circle point."""
-    return dict(zip(("kc", "sc", "tc", "uc", "vc"), _entries(cfg, _CHORDAL)))
+    _, mab, m1, a2, b2, _, H, _ = _moduli(cfg.a, cfg.b)
+    return dict(zip(("kc", "sc", "tc", "uc", "vc"),
+                    [GcisQuadratic(H, R) for R in _raised(_chordal_R(mab, m1, a2, b2))]))
 
 
 def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
                         ) -> tuple[complex, complex, complex, complex, complex]:
     """Points k_c, s_c, t_c, u_c, v_c via the quadratics or via GCIS."""
-    a, b = cfg.a, cfg.b
     if path == "gcis":
-        ast, bst, ae, be = cfg.a_star, cfg.b_star, cfg.a_end, cfg.b_end
-        return (gcis(ae, ast, be, bst),
-                gcis(a, be, b, ae),
-                gcis(ae, bst, be, ast),
-                gcis(a, bst, b, ast),
-                gcis(a, ae, b, be))
+        return tuple([gcis(*chords) for chords in _chords(cfg)[:5]])
     if path != "quadratic":
         raise ValueError(f"unknown path {path!r}")
-    return tuple([gcis_quadratic_solve(qd) for qd in _entries(cfg, _CHORDAL)])
-
-
-def _positive_multiple(roots: tuple[complex, complex], direction: complex
-                       ) -> complex:
-    """Root that is a positive real multiple of the given direction."""
-    return max(roots, key=lambda z: (z * direction.conjugate()).real)
+    _, mab, m1, a2, b2, _, H, _ = _moduli(cfg.a, cfg.b)
+    return tuple(_raised(_chordal_family(mab, m1, a2, b2, H)))
 
 
 def pq_family(cfg: DiskConfig, path: str = "closed_form"
@@ -230,16 +215,14 @@ def pq_family(cfg: DiskConfig, path: str = "closed_form"
     direction: q_c generally lies outside the unit disk.
     """
     if path == "synthetic":
-        a, b, num = cfg.a, cfg.b, _moduli(cfg.a, cfg.b)[-1]    # num = conj(Q)
-        p = line_intersection(a, cfg.b_end, cfg.a_star, b)
-        q = line_intersection(a, cfg.b_star, cfg.a_star, cfg.b_end)
-        pc = _positive_multiple(gcis_roots(a, cfg.b_end, cfg.a_star, b), num)
-        qc = _positive_multiple(
-            gcis_roots(a, cfg.b_star, cfg.a_star, cfg.b_end), num)
-        return p, q, pc, qc
+        num, (p, q) = _moduli(cfg.a, cfg.b)[-1], _chords(cfg)[5:]    # num = conj(Q)
+        return (line_intersection(*p), line_intersection(*q),
+                _positive_multiple(gcis_roots(*p), num),
+                _positive_multiple(gcis_roots(*q), num))
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
-    return _entries(cfg, ("p", "q", "p_c", "q_c"))
+    _, mab, m1, a2, b2, _, _, num = _moduli(cfg.a, cfg.b)
+    return tuple(_raised(_pq_family(mab, m1, a2, b2, num)))
 
 
 def collinearity_residual(points: list[complex]) -> float:
@@ -261,11 +244,12 @@ def collinearity_residual(points: list[complex]) -> float:
         for xj, yj, mj in rel[i + 1:]:
             # Im(r_i conj(r_j)) in the operations of Python's complex product
             r = abs(xi * -yj + yi * xj)
-            d = mi * mj
-            if d > 1.0:
-                r /= d
-            if r > worst:
-                worst = r
+            if r > worst:           # else r / max(1, d) <= r <= worst
+                d = mi * mj
+                if d > 1.0:
+                    r /= d
+                if r > worst:
+                    worst = r
     return worst
 
 
@@ -281,13 +265,17 @@ def family_report(a: complex, b: complex
     cfg = build_config(a, b)
     points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
               "a_end": cfg.a_end, "b_end": cfg.b_end}
-    statuses = dict.fromkeys([*points, *_CLOSED_FORMS], "ok")
-    x = _moduli(a, b)
-    for name, form in _CLOSED_FORMS.items():
-        try:
-            points[name] = _solved(form(*x))
-        except (DegenerateDenominator, NearBoundary) as exc:
-            statuses[name] = f"degenerate: {exc}"
+    statuses = dict.fromkeys([*points, *_NAMES], "ok")
+    re, mab, m1, a2, b2, ab2, H, num = _moduli(a, b)
+    values = [*_line_family(re, mab, m1, a2, b2, ab2, H), hyperbolic_midpoint(a, b),
+              *_chordal_family(mab, m1, a2, b2, H), *_pq_family(mab, m1, a2, b2, num), H]
+    for name, value in zip(_NAMES, values):
+        if isinstance(value, (DegenerateDenominator, NearBoundary)):
+            statuses[name] = f"degenerate: {value}"
+        elif isinstance(value, GeometryError):
+            raise value
+        else:
+            points[name] = value
     h_family = [points[n] for n in _H_FAMILY if n in points]
     residual = collinearity_residual([0j, *h_family]) if len(h_family) >= 2 else None
     return points, statuses, residual
@@ -297,6 +285,9 @@ def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     """Full point family for (a, b) plus the collinearity residual of the
     eleven H-direction points with the origin."""
     _check_pair(a, b)
-    x = _moduli(a, b)
-    values = [_solved(form(*x)) for form in _CLOSED_FORMS.values()]
-    return PointFamily(*values), collinearity_residual([0j, *values[:len(_H_FAMILY)]])
+    re, mab, m1, a2, b2, ab2, H, num = _moduli(a, b)
+    h_family = [*_raised(_line_family(re, mab, m1, a2, b2, ab2, H)),
+                hyperbolic_midpoint(a, b),
+                *_raised(_chordal_family(mab, m1, a2, b2, H))]
+    return (PointFamily(*h_family, *_raised(_pq_family(mab, m1, a2, b2, num)), H),
+            collinearity_residual([0j, *h_family]))

@@ -17,6 +17,7 @@ from .errors import (
     CoincidentPoints,
     CollinearWithOrigin,
     EqualModuli,
+    GeometryError,
     IdenticalGreatCircles,
     NearBoundary,
     NoRealIntersection,
@@ -163,6 +164,22 @@ def gencircle_from_pair_intersection(a: complex, b: complex, c: complex,
     return min(inside, key=lambda z: abs(z - _tiebreak_reference(a, b, c, d)))
 
 
+def quadratic_error(H: complex, R: float) -> GeometryError | None:
+    """Why conj(H) z^2 + 2 R z - H = 0 is refused (H = 0, R not finite), or None."""
+    if H == 0:
+        return CoincidentPoints("H must be nonzero")
+    return None if math.isfinite(R) else NearBoundary("R is not finite")
+
+
+def quadratic_root(H: complex, H2: float, R: float, sign: float | None = None) -> complex:
+    """Root (-R + sign sqrt(R^2 + H2)) / H2 * H of conj(H) z^2 + 2 R z - H = 0,
+    H2 = |H|^2, sign = +-1; by default the root in the closed disk, the + root
+    for R >= 0 (|z| = 1 iff R == 0, where it is the positive multiple of H)."""
+    if sign is None:
+        sign = 1.0 if R >= 0 else -1.0
+    return (-R + sign * math.sqrt(R ** 2 + H2)) / H2 * H
+
+
 @dataclass(frozen=True)
 class GcisQuadratic:
     """Coefficients of conj(H) z^2 + 2 R z - H = 0 with H != 0, R real."""
@@ -171,29 +188,19 @@ class GcisQuadratic:
     R: float
 
     def __post_init__(self) -> None:
-        if self.H == 0:
-            raise CoincidentPoints("H must be nonzero")
-        if not math.isfinite(self.R):
-            raise NearBoundary("R is not finite")
-
-    def root(self, sign: float) -> complex:
-        """The root (-R + sign sqrt(R^2 + |H|^2)) / |H|^2 * H, sign = +-1."""
-        s = math.sqrt(self.R ** 2 + abs(self.H) ** 2)
-        return (-self.R + sign * s) / abs(self.H) ** 2 * self.H
+        error = quadratic_error(self.H, self.R)
+        if error is not None:
+            raise error
 
     def roots(self) -> tuple[complex, complex]:
         """Both roots, as real multiples of H; moduli multiply to 1."""
-        return self.root(1.0), self.root(-1.0)
+        H, H2, R = self.H, abs(self.H) ** 2, self.R
+        return quadratic_root(H, H2, R, 1.0), quadratic_root(H, H2, R, -1.0)
 
 
 def gcis_quadratic_solve(qd: GcisQuadratic) -> complex:
-    """Root of the quadratic inside the closed disk.
-
-    For R = 0 both roots lie on the unit circle and the positive real
-    multiple of H is returned.
-    """
-    # the + root has |z| <= 1 for R >= 0, equality iff R == 0
-    return qd.root(1.0 if qd.R >= 0 else -1.0)
+    """Root of the quadratic inside the closed disk (quadratic_root)."""
+    return quadratic_root(qd.H, abs(qd.H) ** 2, qd.R)
 
 
 def chordal_midpoint(a: complex, b: complex) -> complex:

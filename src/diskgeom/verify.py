@@ -202,7 +202,9 @@ SAMPLERS: dict[str, Callable] = {
 
 
 def midpoint_oracle(x: complex, y: complex) -> complex:
-    """Hyperbolic midpoint by bisection along the T_x-straightened geodesic."""
+    """Hyperbolic midpoint by bisection along the T_x-straightened geodesic.
+    Stopping once mid is lo or hi keeps the 100-step result: each later step
+    keeps (lo, hi) or moves the other end onto mid, so 0.5 * (lo + hi) stays mid."""
     if x == y:
         return x
     yp = mobius_T(x, y)
@@ -210,6 +212,8 @@ def midpoint_oracle(x: complex, y: complex) -> complex:
     lo, hi = 0.0, abs(yp)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if rho(0j, mid * u) < rho(mid * u, yp):
             lo = mid
         else:
@@ -347,8 +351,6 @@ def _residual_chord_geodesic_collinear(sample: Sequence) -> float:
 def _residual_midpoint_origin_f(sample: Sequence) -> float:
     a, b, c, d = sample[:4]
     f, m = chord_vs_geodesic_midpoint(a, b, c, d)
-    if abs(f) >= 1:
-        raise PointOutsideDisk("chord intersection outside the disk")
     return abs(m - hyperbolic_midpoint(0j, f))
 
 
@@ -356,12 +358,11 @@ def _residual_chordal_midpoint(sample: Sequence[complex]) -> float:
     a, b = sample
     m = chordal_midpoint(a, b)
     residuals = [abs(chordal_distance(a, m) - chordal_distance(b, m))]
-    pa, pb, pm = to_sphere(a), to_sphere(b), to_sphere(m)
-    # coplanarity of the three sphere points with the sphere center
-    va = np.array([pa.xi, pa.eta, pa.zeta - 0.5])
-    vb = np.array([pb.xi, pb.eta, pb.zeta - 0.5])
-    vm = np.array([pm.xi, pm.eta, pm.zeta - 0.5])
-    residuals.append(abs(float(np.dot(np.cross(va, vb), vm))))
+    # coplanarity with the sphere center: the triple product of the offsets
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = [
+        (p.xi, p.eta, p.zeta - 0.5) for p in map(to_sphere, (a, b, m))]
+    residuals.append(abs((y1 * z2 - z1 * y2) * x3 + (z1 * x2 - x1 * z2) * y3
+                         + (x1 * y2 - y1 * x2) * z3))
     first = great_circle_projection(a, b)
     circ = orthogonal_great_circle(a, b)
     residuals += [first.residual(m), circ.residual(m)]

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,10 +13,12 @@ from diskgeom.errors import (
     CollinearWithOrigin,
     DegenerateDenominator,
     GeometryError,
+    NearBoundary,
     OutsideDisk,
     ZeroPoint,
 )
 from diskgeom.euclid import line_intersection, scale_of
+from diskgeom import configurations
 from diskgeom.configurations import (
     PointFamily,
     build_config,
@@ -329,3 +333,201 @@ def test_collinearity_residual_is_nan_for_a_non_finite_point(bad, where):
     points = [0j, 1 + 0j, 2 + 0j]
     points[where] = bad
     assert math.isnan(collinearity_residual(points))
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the closed-form table they replaced
+
+
+def _old_moduli(a, b):
+    mab, m1, a2 = abs(a - b), abs(1 - a * b.conjugate()), abs(a) ** 2
+    return (a, b, mab, m1, a2, abs(b) ** 2, abs(a * b) ** 2, h_vector(a, b),
+            b * (1 - a2) ** 2 + a * mab * (m1 - mab))
+
+
+def _old_checked_div(name, num, den):
+    if abs(den) <= 1e-12:
+        raise DegenerateDenominator(f"denominator of {name} vanishes")
+    return num / den
+
+
+def _old_boundary_R(a2, b2, m1, gap):
+    if abs(gap) <= 1e-10:
+        raise NearBoundary("|a-b| within rounding of |1 - a conj(b)|")
+    return (1 - a2) * (1 - b2) * m1 / gap
+
+
+def _old_quadratic(H, R):
+    if H == 0:
+        raise CoincidentPoints("H must be nonzero")
+    if not math.isfinite(R):
+        raise NearBoundary("R is not finite")
+    return ("quadratic", H, R)
+
+
+def _old_root(H, R, sign):
+    s = math.sqrt(R ** 2 + abs(H) ** 2)
+    return (-R + sign * s) / abs(H) ** 2 * H
+
+
+def _old_solved(value):
+    if isinstance(value, tuple):
+        _, H, R = value
+        return _old_root(H, R, 1.0 if R >= 0 else -1.0)
+    return value
+
+
+def _old_pq_chordal(num, a2, mab, m1, sign):
+    c2, c1 = num.conjugate(), sign * ((1 - a2) * m1 * (mab - m1))
+    disc = cmath.sqrt(c1 * c1 - 4 * c2 * -num)
+    roots = ((-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2))
+    return max(roots, key=lambda z: (z * num.conjugate()).real)
+
+
+_OLD_CLOSED_FORMS = {
+    "k": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_checked_div(
+        "k", (mab - m1) * H, (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
+    "s": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_checked_div(
+        "s", H, 2 - 2 * (a * b.conjugate()).real - mab * m1),
+    "t": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_checked_div(
+        "t", H, 2 * (a * b.conjugate()).real - 2 * ab2 + mab * m1),
+    "u": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_checked_div("u", H, 1 - ab2),
+    "v": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_checked_div(
+        "v", (m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab),
+    "m": lambda a, b, mab, m1, a2, b2, ab2, H, num: hyperbolic_midpoint(a, b),
+    "k_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_quadratic(
+        H, _old_boundary_R(a2, b2, m1, mab - m1)),
+    "s_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_quadratic(H, m1 * (m1 - mab)),
+    "t_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_quadratic(H, m1 * (mab - m1)),
+    "u_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_quadratic(H, 0.0),
+    "v_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_quadratic(
+        H, _old_boundary_R(a2, b2, m1, m1 - mab)),
+    "p": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_checked_div(
+        "p", num, (1 - a2) ** 2 + a2 * mab * (m1 - mab)),
+    "q": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_checked_div(
+        "q", num, b2 * (1 - a2) ** 2 + mab * (m1 - mab)),
+    "p_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_pq_chordal(
+        num, a2, mab, m1, -1.0),
+    "q_c": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_pq_chordal(
+        num, a2, mab, m1, 1.0),
+    "H": lambda a, b, mab, m1, a2, b2, ab2, H, num: H,
+}
+_OLD_CHORDAL = ("k_c", "s_c", "t_c", "u_c", "v_c")
+_OLD_H_FAMILY = ("k", "s", "t", "u", "v", "m", *_OLD_CHORDAL)
+
+
+def _old_entries(cfg, names):
+    x = _old_moduli(cfg.a, cfg.b)
+    return tuple(_OLD_CLOSED_FORMS[name](*x) for name in names)
+
+
+def _old_eleven_points(a, b):
+    configurations._check_pair(a, b)
+    x = _old_moduli(a, b)
+    values = [_old_solved(form(*x)) for form in _OLD_CLOSED_FORMS.values()]
+    return PointFamily(*values), _pairwise_residual([0j, *values[:11]])
+
+
+def _old_family_report(a, b):
+    cfg = build_config(a, b)
+    points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
+              "a_end": cfg.a_end, "b_end": cfg.b_end}
+    statuses = dict.fromkeys([*points, *_OLD_CLOSED_FORMS], "ok")
+    x = _old_moduli(a, b)
+    for name, form in _OLD_CLOSED_FORMS.items():
+        try:
+            points[name] = _old_solved(form(*x))
+        except (DegenerateDenominator, NearBoundary) as exc:
+            statuses[name] = f"degenerate: {exc}"
+    h_family = [points[n] for n in _OLD_H_FAMILY if n in points]
+    residual = _pairwise_residual([0j, *h_family]) if len(h_family) >= 2 else None
+    return points, statuses, residual
+
+
+def _old_family_paths(cfg):
+    return {
+        "five_points_euclid": lambda: _old_entries(cfg, ("k", "s", "t", "u", "v")),
+        "chordal_quadratics": lambda: [q[1:] for q in _old_entries(cfg, _OLD_CHORDAL)],
+        "five_points_chordal": lambda: tuple(
+            _old_solved(q) for q in _old_entries(cfg, _OLD_CHORDAL)),
+        "pq_family": lambda: _old_entries(cfg, ("p", "q", "p_c", "q_c")),
+    }
+
+
+def _new_family_paths(cfg):
+    return {
+        "five_points_euclid": lambda: five_points_euclid(cfg),
+        "chordal_quadratics": lambda: [(q.H, q.R)
+                                       for q in chordal_quadratics(cfg).values()],
+        "five_points_chordal": lambda: five_points_chordal(cfg),
+        "pq_family": lambda: pq_family(cfg),
+    }
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except GeometryError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _regular_and_near_pairs(count=150):
+    """Regular pairs, then pairs within 1e-14 ... 1e-4 of collinear with 0,
+    of |a| = |b| and of |a| = 1."""
+    rng = random.Random(20260823)
+
+    def regular():
+        while True:
+            a = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(0, 2 * math.pi))
+            b = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(0, 2 * math.pi))
+            if abs((a * b.conjugate()).imag) >= 0.05 * abs(a) * abs(b):
+                return a, b
+
+    pairs = [regular() for _ in range(count)]
+    for kind in ("collinear", "moduli", "boundary"):
+        for _ in range(count):
+            a, b = regular()
+            eps = 10.0 ** rng.uniform(-14, -4) * rng.choice((-1.0, 1.0))
+            if kind == "collinear":
+                turn = math.pi * rng.randrange(2) + eps
+                b = abs(b) * (a / abs(a)) * cmath.exp(1j * turn)
+            elif kind == "moduli":
+                b = b / abs(b) * abs(a) * (1 + eps)
+            else:
+                a = a / abs(a) * (1 - abs(eps))
+            pairs.append((a, b))
+    return pairs
+
+
+def test_kernels_match_the_closed_form_table_they_replaced():
+    kinds = set()
+    for a, b in _regular_and_near_pairs():
+        for new, old in ((eleven_points, _old_eleven_points),
+                         (family_report, _old_family_report)):
+            outcome = _outcome(lambda: new(a, b))
+            assert outcome == _outcome(lambda: old(a, b)), (new.__name__, a, b)
+            kinds.add(outcome[1] if outcome[0] == "error" else "value")
+        try:
+            cfg = build_config(a, b)
+        except GeometryError:
+            continue
+        old_paths, new_paths = _old_family_paths(cfg), _new_family_paths(cfg)
+        for name, new in new_paths.items():
+            outcome = _outcome(new)
+            assert outcome == _outcome(old_paths[name]), (name, a, b)
+            kinds.add(outcome[1] if outcome[0] == "error" else "value")
+    assert {"value", CollinearWithOrigin, DegenerateDenominator, NearBoundary} <= kinds
+
+
+def test_each_closed_form_is_written_once():
+    sources = "".join(path.read_text(encoding="utf-8")
+                      for path in Path(configurations.__file__).parent.glob("*.py"))
+    for formula in ("2 - 2 * re - mab * m1",                      # s's denominator
+                    "(1 - a2) * (1 - b2) * m1",                   # k_c's, v_c's R
+                    "b * (1 - a2) ** 2 + a * mab * (m1 - mab)",   # conj(Q)
+                    "(1 - a2) ** 2 + a2 * mab * (m1 - mab)",      # p's denominator
+                    "b2 * (1 - a2) ** 2 + mab * (m1 - mab)",      # q's denominator
+                    "(1 - a2) * m1 * (mab - m1)",                 # p_c's, q_c's R
+                    "sign * math.sqrt(R ** 2 + H2)",              # great-circle root
+                    "line_intersection(g, h, a, c)"):             # conjecture point j
+        assert sources.count(formula) == 1, formula

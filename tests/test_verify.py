@@ -8,10 +8,16 @@ import threading
 import numpy as np
 import pytest
 
-from diskgeom.errors import SamplerMismatch, UnknownTheorem
+from diskgeom.errors import (
+    DegenerateDenominator,
+    SamplerMismatch,
+    SamplerStarvation,
+    UnknownTheorem,
+)
 from diskgeom.verify import (
     CHECKS,
     SampleSpec,
+    _Check,
     _residual_explicit_formulas,
     _rng,
     conjecture_check,
@@ -23,7 +29,7 @@ from diskgeom.verify import (
     sample_disk_pair,
     sample_lens_pair,
 )
-from diskgeom.hyperbolic import hyperbolic_midpoint
+from diskgeom.hyperbolic import hyperbolic_midpoint, mobius_T, rho
 
 
 def _spec(sampler="disk_pair", count=50, seed=7, **kw):
@@ -228,6 +234,30 @@ def test_midpoint_oracle_matches_closed_form():
         assert abs(midpoint_oracle(a, b) - hyperbolic_midpoint(a, b)) <= 1e-9
 
 
+def _hundred_step_midpoint_oracle(x, y):
+    """midpoint_oracle as first written: always 100 bisection steps."""
+    if x == y:
+        return x
+    yp = mobius_T(x, y)
+    u = yp / abs(yp)
+    lo, hi = 0.0, abs(yp)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if rho(0j, mid * u) < rho(mid * u, yp):
+            lo = mid
+        else:
+            hi = mid
+    return mobius_T(-x, 0.5 * (lo + hi) * u)
+
+
+def test_midpoint_oracle_early_exit_keeps_the_hundred_step_result():
+    spec = default_spec("midpoint_oracle", 2000, 29)
+    for i in range(spec.count):
+        x, y = sample_disk_pair(spec, i)
+        assert midpoint_oracle(x, y) == _hundred_step_midpoint_oracle(x, y), (x, y)
+        assert midpoint_oracle(x, x) == x == _hundred_step_midpoint_oracle(x, x)
+
+
 def test_conjecture_check_generic_quadruple_is_tiny():
     import cmath
     a, b, c, d = (cmath.exp(1j * t) for t in (0.0, 1.2, 2.8, 4.4))
@@ -303,6 +333,33 @@ def test_non_finite_residual_fails_the_check(monkeypatch, theorem_id, residuals)
     assert not report.passed
     assert not math.isfinite(report.max_residual)
     assert len(report.worst_input) > 0
+
+
+@pytest.mark.parametrize("refused", [(), (0,), (3, 17, 18, 40, 49),
+                                     (3, 17, 18, 40, 49, 0), tuple(range(0, 50, 2))])
+def test_skipped_samples_are_counted_and_starvation_raised(monkeypatch, refused):
+    # a test-local check refuses the samples at the chosen indices; run_check
+    # must count them as skipped and refuse the run once fewer than 90% survive
+    calls = iter(range(10 ** 6))
+
+    def fn(sample):
+        if next(calls) in refused:
+            raise DegenerateDenominator("refused on purpose")
+        return 2.0 ** -40
+
+    monkeypatch.setitem(CHECKS, "skip_probe", _Check("disk_pair", 1e-9, fn))
+    spec = default_spec("skip_probe", 50, 3)
+    survivors = 50 - len(refused)
+    if survivors < 0.9 * 50:
+        with pytest.raises(SamplerStarvation, match=f"only {survivors}/50 samples"):
+            run_check("skip_probe", spec)
+        return
+    report = run_check("skip_probe", spec)
+    assert (report.evaluated, report.skipped) == (survivors, len(refused))
+    assert report.evaluated + report.skipped == report.requested
+    assert report.passed and report.mean_residual == report.max_residual == 2.0 ** -40
+    last = max(set(range(50)) - set(refused))      # ties go to the latest sample
+    assert report.worst_input == [[z.real, z.imag] for z in sample_disk_pair(spec, last)]
 
 
 def test_conjecture_check_never_fails_on_residual():
