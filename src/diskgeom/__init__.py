@@ -14,7 +14,6 @@ from .euclid import (
     circumcenter,
     line_intersection,
     orthocenter,
-    unit_chord_endpoints,
 )
 from .hyperbolic import (
     Geodesic,
@@ -57,7 +56,6 @@ __version__ = "1.0.0"
 __all__ = [
     "GeometryError",
     "GenCircle", "circumcenter", "line_intersection", "orthocenter",
-    "unit_chord_endpoints",
     "Geodesic", "absolute_ratio", "chord_vs_geodesic_midpoint",
     "geodesic_endpoints", "geodesic_intersection_on_circle",
     "hyperbolic_line", "hyperbolic_midpoint", "midpoint_via_inversion",

@@ -26,10 +26,6 @@ class CollinearWithOrigin(GeometryError):
     """The point pair lies on a line through the origin."""
 
 
-class ChordOutsideDisk(GeometryError):
-    """The chord through the two points is tangent to or misses the disk."""
-
-
 class CollinearPoints(GeometryError):
     """Three points meant to span a circle or triangle are collinear."""
 
@@ -75,11 +71,7 @@ class AntipodalPair(GeometryError):
 
 
 class NearBoundary(GeometryError):
-    """|a-b| is within rounding of |1-a conj(b)|, only possible at |a|=1 or |b|=1."""
-
-
-class IdenticalGreatCircles(GeometryError):
-    """The two great circles coincide; no unique intersection."""
+    """A closed form broke down because |a| or |b| is within rounding of 1."""
 
 
 class NoRealIntersection(GeometryError):

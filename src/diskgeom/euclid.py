@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 from .errors import (
     AntipodalPair,
-    ChordOutsideDisk,
     CoincidentPoints,
     CollinearPoints,
-    CollinearWithOrigin,
     ConcentricCircles,
     DegenerateInput,
     DegenerateModuli,
@@ -76,9 +74,13 @@ class GenCircle:
         """
         if a == b:
             raise CoincidentPoints("a curve through a, b needs a != b")
+        a2, b2 = abs(a) ** 2, abs(b) ** 2
         A = 2 * (b * a.conjugate()).imag
-        B = 1j * (b * (s + abs(a) ** 2) - a * (s + abs(b) ** 2))
-        if A == 0 and B == 0:
+        B = 1j * (b * (s + a2) - a * (s + b2))
+        # For b = s/conj(a) rounded to a float, A and B are not exactly 0 but
+        # the rounding error of their products, a few ulps of this operand
+        # scale; the curve they span is noise, so refuse it like exact 0.
+        if abs(A) + abs(B) <= 4 * 2 ** -52 * (abs(b) * (1 + a2) + abs(a) * (1 + b2)):
             raise AntipodalPair("b = s/conj(a) lies on every curve of the family")
         return cls(A, B, s * A)
 
@@ -101,8 +103,7 @@ class GenCircle:
         return abs(f) / (abs(self.A * z + self.B) + self._root())
 
 
-def line_intersection(a: complex, b: complex, c: complex, d: complex,
-                      tol: float = DEGENERACY_TOL) -> complex:
+def line_intersection(a: complex, b: complex, c: complex, d: complex) -> complex:
     """Intersection point of the lines through (a,b) and (c,d)."""
     if a == b or c == d:
         raise DegenerateInput("coincident defining points")
@@ -110,7 +111,7 @@ def line_intersection(a: complex, b: complex, c: complex, d: complex,
         - (c.conjugate() * d - c * d.conjugate()) * (a - b)
     den = (a.conjugate() - b.conjugate()) * (c - d) \
         - (c.conjugate() - d.conjugate()) * (a - b)
-    if abs(den) <= tol * scale_of(a, b, c, d):
+    if abs(den) <= DEGENERACY_TOL * scale_of(a, b, c, d):
         raise ParallelLines(f"lines through {a},{b} and {c},{d} are parallel")
     return num / den
 
@@ -141,28 +142,6 @@ def lis_inverse_pairs(case: int, a: complex, b: complex) -> complex:
     if case == 3:
         return (a * (1 - b2) + b * (1 - a2)) / den
     return (a * (1 + b2) + b * (1 + a2)) / den
-
-
-def unit_chord_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
-    """Endpoints of the chord L[a,b] on the unit circle, nearest-to-a first.
-
-    Requires a, b inside the open disk and non-collinear with the origin.
-    """
-    if a == b:
-        raise DegenerateInput("coincident points")
-    try:
-        c = line_intersection(a, b, 0j, 1j * (a - b))
-    except ParallelLines:
-        raise CollinearWithOrigin("chord passes through the origin") from None
-    if abs(c) <= DEGENERACY_TOL:
-        raise CollinearWithOrigin("chord passes through the origin")
-    if abs(c) >= 1 - 1e-12:
-        raise ChordOutsideDisk("chord foot point outside or on the unit circle")
-    half = 1j * (c / abs(c)) * math.sqrt(1 - abs(c) ** 2)
-    a1, b1 = c - half, c + half
-    if abs(a1 - a) >= abs(a1 - b):
-        a1, b1 = b1, a1
-    return a1, b1
 
 
 def circumcenter(a: complex, b: complex, c: complex) -> complex:
@@ -217,13 +196,11 @@ def orthocenter(p1: complex, p2: complex, p3: complex) -> complex:
     return line_intersection(p1, p1 + 1j * (p3 - p2), p2, p2 + 1j * (p3 - p1))
 
 
-def in_disk_point(points: tuple[complex, complex] | None,
-                  strict: bool = True) -> complex:
-    """Pick the intersection point inside the (open or closed) unit disk."""
+def in_disk_point(points: tuple[complex, complex] | None) -> complex:
+    """Pick the intersection point inside the open unit disk."""
     if points is None:
         raise NoRealIntersection("curves do not intersect")
-    limit = 1 - 1e-12 if strict else 1 + 1e-12
-    inside = [z for z in points if abs(z) < limit]
+    inside = [z for z in points if abs(z) < 1 - 1e-12]
     if not inside:
         raise NoRealIntersection("no intersection point inside the disk")
     return min(inside, key=abs) if len(inside) == 2 else inside[0]

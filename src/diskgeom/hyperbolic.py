@@ -12,6 +12,7 @@ from .errors import (
     DegenerateDenominator,
     EqualModuli,
     InvalidCyclicOrder,
+    NearBoundary,
     NoInDiskRoot,
     NoRealIntersection,
     OriginIntersection,
@@ -69,18 +70,20 @@ def absolute_ratio(a: complex, b: complex, c: complex, d: complex) -> float:
 def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
     """Endpoints (a_end, b_end) of the geodesic through a, b on the unit
     circle, a_end on the a side.  Closed forms avoiding the double Moebius
-    composition."""
+    composition.  A denominator that rounds to 0, possible only when |a| or
+    |b| is within rounding of 1, raises NearBoundary."""
     if a == b:
         raise CoincidentPoints("geodesic endpoints need distinct points")
     if abs(a) >= 1 or abs(b) >= 1:
         raise OutsideDisk("points must lie in the open disk")
     mab = abs(a - b)
     m1 = abs(1 - a * b.conjugate())
-    a_end = (b * (1 - a * b.conjugate()) * mab + (a - b) * m1) \
-        / ((1 - a * b.conjugate()) * mab + b.conjugate() * (a - b) * m1)
-    b_end = (a * (1 - a.conjugate() * b) * mab + (b - a) * m1) \
-        / ((1 - a.conjugate() * b) * mab + a.conjugate() * (b - a) * m1)
-    return a_end, b_end
+    den_a = (1 - a * b.conjugate()) * mab + b.conjugate() * (a - b) * m1
+    den_b = (1 - a.conjugate() * b) * mab + a.conjugate() * (b - a) * m1
+    if den_a == 0 or den_b == 0:
+        raise NearBoundary("geodesic endpoint denominator vanishes")
+    return ((b * (1 - a * b.conjugate()) * mab + (a - b) * m1) / den_a,
+            (a * (1 - a.conjugate() * b) * mab + (b - a) * m1) / den_b)
 
 
 @dataclass(frozen=True)

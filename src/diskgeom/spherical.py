@@ -3,27 +3,25 @@
 The sphere has center (0, 0, 1/2) and radius 1/2; the plane point z maps to
 (Re z, Im z, |z|^2) / (1 + |z|^2) and infinity maps to the north pole.
 The point at infinity is represented by INFINITY; any complex number with an
-infinite component is treated as that point.
+infinite component is treated as that point.  Projected great circles are
+GenCircle forms, intersected by euclid.gencircle_intersection (gcis_roots).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import (
     AntipodalPair,
     CoincidentPoints,
-    CollinearWithOrigin,
     EqualModuli,
     GeometryError,
-    IdenticalGreatCircles,
     NearBoundary,
     NoRealIntersection,
     OutsideDisk,
 )
-from .euclid import INFINITY, GenCircle, line_intersection, scale_of
+from .euclid import INFINITY, GenCircle, line_intersection
 from . import euclid
 
 
@@ -90,37 +88,18 @@ def great_circle_projection(a: complex, b: complex) -> GenCircle:
     return GenCircle.through(a, b, -1)
 
 
-def _gcis_coefficients(a: complex, b: complex, c: complex, d: complex
-                       ) -> tuple[complex, complex, complex]:
-    """Quadratic coefficients of the two-great-circle intersection equation."""
-    ca, cb, cc, cd = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    a2 = (ca * cb * (a - b) + ca - cb) * (c * cd - cc * d) \
-        - (a * cb - ca * b) * (cc * cd * (c - d) + cc - cd)
-    a1 = -(1 - ca * cb * c * d) * (a - b) * (cc - cd) \
-        + (1 - a * b * cc * cd) * (ca - cb) * (c - d) \
-        + (a - b) * (c - d) * (ca * cb - cc * cd) \
-        - (ca - cb) * (cc - cd) * (a * b - c * d)
-    a0 = -(c * cd - cc * d) * (a * b * (ca - cb) + (a - b)) \
-        + (a * cb - ca * b) * (c * d * (cc - cd) + (c - d))
-    return a2, a1, a0
-
-
 def gcis_roots(a: complex, b: complex, c: complex, d: complex
                ) -> tuple[complex, complex]:
     """Both intersection points of the projected great circles through
-    (a,b) and (c,d); their moduli multiply to 1."""
-    for pair in ((a, b), (c, d)):
-        dd = pair[1] * pair[0].conjugate() - pair[0] * pair[1].conjugate()
-        if abs(dd) <= euclid.DEGENERACY_TOL * scale_of(*pair) ** 2:
-            raise CollinearWithOrigin(f"pair {pair} collinear with the origin")
-    a2, a1, a0 = _gcis_coefficients(a, b, c, d)
-    sc = scale_of(a, b, c, d) ** 4
-    if abs(a2) <= 1e-12 * sc and abs(a1) <= 1e-12 * sc and abs(a0) <= 1e-12 * sc:
-        raise IdenticalGreatCircles("the two great circles coincide")
-    if abs(a2) <= 1e-14 * sc:
-        raise IdenticalGreatCircles("degenerate intersection equation")
-    disc = cmath.sqrt(a1 * a1 - 4 * a2 * a0)
-    return (-a1 + disc) / (2 * a2), (-a1 - disc) / (2 * a2)
+    (a,b) and (c,d), by gencircle_intersection: a pair of sphere antipodes,
+    0 and INFINITY when both circles are lines through 0.  A pair spanning
+    no unique great circle raises AntipodalPair, and two coincident great
+    circles raise ConcentricCircles."""
+    pts = euclid.gencircle_intersection(great_circle_projection(a, b),
+                                        great_circle_projection(c, d))
+    if pts is None:
+        raise NoRealIntersection("projected great circles do not meet")
+    return pts
 
 
 def gcis(a: complex, b: complex, c: complex, d: complex) -> complex:
@@ -129,8 +108,7 @@ def gcis(a: complex, b: complex, c: complex, d: complex) -> complex:
     When both roots lie on the unit circle, the root on the same side as the
     Euclidean line intersection of the two defining chords is returned.
     """
-    r1, r2 = gcis_roots(a, b, c, d)
-    inside = [z for z in (r1, r2) if abs(z) <= 1 + 1e-12]
+    inside = [z for z in gcis_roots(a, b, c, d) if abs(z) <= 1 + 1e-12]
     if not inside:
         raise NoRealIntersection("no root in the closed unit disk")
     if len(inside) == 1:
@@ -148,20 +126,8 @@ def _tiebreak_reference(a: complex, b: complex, c: complex, d: complex) -> compl
 
 def gencircle_from_pair_intersection(a: complex, b: complex, c: complex,
                                      d: complex) -> complex:
-    """In-disk intersection of the two projected great circles, found by
-    intersecting the projected curves directly (independent of the
-    intersection quadratic)."""
-    g1 = great_circle_projection(a, b)
-    g2 = great_circle_projection(c, d)
-    pts = euclid.gencircle_intersection(g1, g2)
-    if pts is None:
-        raise NoRealIntersection("projected great circles do not meet")
-    inside = [z for z in pts if abs(z) <= 1 + 1e-9]
-    if not inside:
-        raise NoRealIntersection("no intersection inside the closed disk")
-    if len(inside) == 1:
-        return inside[0]
-    return min(inside, key=lambda z: abs(z - _tiebreak_reference(a, b, c, d)))
+    """The same point as gcis; the name is kept for perfbench/tracer.py."""
+    return gcis(a, b, c, d)
 
 
 def quadratic_error(H: complex, R: float) -> GeometryError | None:

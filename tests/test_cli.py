@@ -70,6 +70,14 @@ def test_points_degenerate_configuration_exits_2(capsys):
     assert main(["points", "--a", "0.5", "--b", "-0.25"]) == 2
 
 
+@pytest.mark.parametrize("b", ["0.3+0.2i", "0.19599454085957066+0.9806049866978375i"])
+def test_points_near_boundary_exits_2(b, capsys):
+    # |a| is within rounding of 1: a typed refusal, not a traceback
+    assert main(["points", "--a", "0.155022086178662-0.987911004492214i",
+                 "--b", b]) == 2
+    assert "NearBoundary" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 

@@ -67,6 +67,23 @@ def test_build_config_rejects_collinear_with_origin():
         build_config(0.5 + 0j, -0.25 + 0j)
 
 
+# a is 1.1e-16 inside the unit circle: a geodesic endpoint denominator
+# rounds to 0
+NEAR_BOUNDARY_PAIRS = [
+    (0.155022086178662 - 0.987911004492214j, 0.3 + 0.2j),
+    (0.155022086178662 - 0.987911004492214j,
+     0.19599454085957066 + 0.9806049866978375j),
+]
+
+
+@pytest.mark.parametrize("a,b", NEAR_BOUNDARY_PAIRS)
+def test_build_config_refuses_a_vanishing_endpoint_denominator(a, b):
+    with pytest.raises(NearBoundary):
+        build_config(a, b)
+    with pytest.raises(NearBoundary):
+        family_report(a, b)
+
+
 def test_build_config_reflections():
     cfg = build_config(0.5 + 0j, 0.3j)
     assert cfg.a_star == pytest.approx(2 + 0j)

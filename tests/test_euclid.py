@@ -10,7 +10,6 @@ from diskgeom.errors import (
     AntipodalPair,
     CoincidentPoints,
     CollinearPoints,
-    CollinearWithOrigin,
     ConcentricCircles,
     DegenerateInput,
     DegenerateModuli,
@@ -26,10 +25,9 @@ from diskgeom.euclid import (
     lis_inverse_pairs,
     orthocenter,
     scale_of,
-    unit_chord_endpoints,
 )
 from diskgeom.hyperbolic import UNIT_CIRCLE, hyperbolic_line
-from diskgeom.spherical import great_circle_projection
+from diskgeom.spherical import antipodal, great_circle_projection
 
 from conftest import polar_points, unit_circle_points, well_separated
 
@@ -118,35 +116,6 @@ def test_lis_inverse_pairs_bad_case_raises():
 
 
 # ---------------------------------------------------------------------------
-# unit-circle chords
-
-
-def test_unit_chord_endpoints_horizontal_chord():
-    a, b = 0.3 + 0.4j, -0.2 + 0.4j
-    a1, b1 = unit_chord_endpoints(a, b)
-    # chord y = 0.4 meets the unit circle at +-sqrt(1 - 0.16) + 0.4i
-    x = math.sqrt(1 - 0.16)
-    assert a1 == pytest.approx(x + 0.4j, abs=EXACT_TOL)
-    assert b1 == pytest.approx(-x + 0.4j, abs=EXACT_TOL)
-
-
-@given(st.tuples(polar_points(), polar_points()))
-def test_unit_chord_endpoints_on_circle_and_ordered(pts):
-    a, b = pts
-    assume(well_separated(a, b))
-    a1, b1 = unit_chord_endpoints(a, b)
-    assert abs(abs(a1) - 1) <= EXACT_TOL
-    assert abs(abs(b1) - 1) <= EXACT_TOL
-    assert GenCircle.line(a, b).residual(a1) <= 1e-10
-    assert abs(a1 - a) < abs(a1 - b)
-
-
-def test_unit_chord_through_origin_raises():
-    with pytest.raises(CollinearWithOrigin):
-        unit_chord_endpoints(0.2 + 0.2j, -0.3 - 0.3j)
-
-
-# ---------------------------------------------------------------------------
 # circumcenter and the curves through a, b and s/conj(a)
 
 
@@ -191,6 +160,15 @@ def test_curve_through_a_pair_refuses_coincident_and_antipodal_points():
         GenCircle.through(0.5 + 0j, -2 + 0j, -1)     # -2 = -1/conj(0.5)
     with pytest.raises(AntipodalPair):
         great_circle_projection(0.5j, -2j)            # -2j = -1/conj(0.5j)
+    # a rounded antipode or mirror image leaves A and B at rounding noise,
+    # not exactly 0, for these three points
+    for a in (-1.097 + 1.042j, 0.791 - 0.735j, -0.014 - 0.152j):
+        with pytest.raises(AntipodalPair):
+            great_circle_projection(a, antipodal(a))
+        with pytest.raises(AntipodalPair):
+            GenCircle.through(a, 1 / a.conjugate(), +1)
+        # a partner 1e-13 rad off the antipode still spans a curve
+        great_circle_projection(a, antipodal(a) * cmath.exp(1e-13j))
 
 
 def test_nearly_diametral_curves_meet_the_unit_circle_near_the_diameter():

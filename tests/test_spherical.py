@@ -8,9 +8,10 @@ from hypothesis import assume, example, given, strategies as st
 
 from diskgeom.errors import (
     AntipodalPair,
-    CollinearWithOrigin,
+    ConcentricCircles,
     EqualModuli,
     OutsideDisk,
+    ParallelLines,
 )
 from diskgeom.spherical import (
     INFINITY,
@@ -143,22 +144,46 @@ def test_gcis_root_moduli_multiply_to_one(pts):
     assert abs(r2 - antipodal(r1)) <= 1e-6 * max(1.0, abs(r2))
 
 
+def _sphere_triple(p, q, r):
+    """Scalar triple product of the sphere images of p, q, r, taken as
+    vectors from the sphere's center: 0 when a great circle holds all three."""
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = [
+        (s.xi, s.eta, s.zeta - 0.5) for s in map(to_sphere, (p, q, r))]
+    return x1 * (y2 * z3 - z2 * y3) - y1 * (x2 * z3 - z2 * x3) \
+        + z1 * (x2 * y3 - y2 * x3)
+
+
 @given(st.tuples(polar_points(), polar_points(), polar_points(),
                  polar_points()))
-def test_gcis_agrees_with_circle_intersection_oracle(pts):
+def test_gcis_roots_are_coplanar_with_both_great_circles(pts):
     a, b, c, d = pts
     assume(well_separated(a, b) and well_separated(c, d))
     assume(min(abs(a - c), abs(b - d), abs(a - d), abs(b - c)) > 0.05)
-    r1, _ = gcis_roots(a, b, c, d)
-    assume(abs(abs(r1) - 1) > 1e-4)   # avoid the on-circle tie-break case
-    z1 = gcis(a, b, c, d)
-    z2 = gencircle_from_pair_intersection(a, b, c, d)
-    assert abs(z1 - z2) <= 1e-8
+    roots = gcis_roots(a, b, c, d)
+    for r in roots:
+        assert abs(_sphere_triple(r, a, b)) <= EXACT_TOL
+        assert abs(_sphere_triple(r, c, d)) <= EXACT_TOL
+    assume(abs(abs(roots[0]) - 1) > 1e-4)   # avoid the on-circle tie-break case
+    z = gcis(a, b, c, d)
+    assert z == min(roots, key=abs)
+    assert gencircle_from_pair_intersection(a, b, c, d) == z
 
 
-def test_gcis_collinear_pair_raises():
-    with pytest.raises(CollinearWithOrigin):
-        gcis_roots(0.5 + 0j, -0.5 + 0j, 0.3j, 0.1 + 0.1j)
+def test_gcis_collinear_pair_gives_antipodal_roots_on_both_curves():
+    # (0.5, -0.5) spans the real axis, a line through 0
+    a, b, c, d = 0.5 + 0j, -0.5 + 0j, 0.3j, 0.1 + 0.1j
+    r1, r2 = gcis_roots(a, b, c, d)
+    for g in (great_circle_projection(a, b), great_circle_projection(c, d)):
+        assert g.residual(r1) <= EXACT_TOL
+        assert g.residual(r2) <= EXACT_TOL
+    assert chordal_distance(r1, r2) == pytest.approx(1.0, abs=EXACT_TOL)
+
+
+def test_gcis_coincident_great_circles_raise():
+    with pytest.raises(ConcentricCircles):
+        gcis_roots(0.3 + 0.4j, -0.5 + 0.2j, -0.5 + 0.2j, 0.3 + 0.4j)
+    with pytest.raises(ParallelLines):       # one line through 0, twice
+        gcis_roots(0.5 + 0j, -0.5 + 0j, 0.25 + 0j, -0.25 + 0j)
 
 
 # ---------------------------------------------------------------------------
