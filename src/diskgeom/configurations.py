@@ -281,13 +281,20 @@ def family_report(a: complex, b: complex
     return points, statuses, residual
 
 
+def h_family(a: complex, b: complex) -> tuple[list[complex], tuple]:
+    """The eleven H-direction points k ... v_c of (a, b) in PointFamily order,
+    raising the first degeneracy among them, and the _moduli values they
+    were computed from."""
+    _check_pair(a, b)
+    moduli = re, mab, m1, a2, b2, ab2, H, _ = _moduli(a, b)
+    return ([*_raised(_line_family(re, mab, m1, a2, b2, ab2, H)),
+             hyperbolic_midpoint(a, b),
+             *_raised(_chordal_family(mab, m1, a2, b2, H))], moduli)
+
+
 def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     """Full point family for (a, b) plus the collinearity residual of the
     eleven H-direction points with the origin."""
-    _check_pair(a, b)
-    re, mab, m1, a2, b2, ab2, H, num = _moduli(a, b)
-    h_family = [*_raised(_line_family(re, mab, m1, a2, b2, ab2, H)),
-                hyperbolic_midpoint(a, b),
-                *_raised(_chordal_family(mab, m1, a2, b2, H))]
-    return (PointFamily(*h_family, *_raised(_pq_family(mab, m1, a2, b2, num)), H),
-            collinearity_residual([0j, *h_family]))
+    points, (_, mab, m1, a2, b2, _, H, num) = h_family(a, b)
+    return (PointFamily(*points, *_raised(_pq_family(mab, m1, a2, b2, num)), H),
+            collinearity_residual([0j, *points]))

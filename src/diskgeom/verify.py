@@ -7,7 +7,12 @@ with ``seed`` reads the counter-based Philox stream (Salmon et al.,
 ``Generator(Philox(key=seed & (2**64 - 1), counter=index << 128))``.
 Sample ``index`` therefore depends on (seed, index) alone, not on
 evaluation order, and each sample starts a block of 2**128 counter values
-of its own.  Samples that hit a degenerate configuration raise a
+of its own.  ``sample_*`` is the single-index form of each sampler;
+``run_check`` reads the same stream a chunk of samples at a time, drawing
+every sample's first attempt in one vectorized Philox pass and handing a
+sample whose first attempt is rejected to ``sample_*``, which replays it
+from its start; a chunk of fewer than ``_MIN_CHUNK`` samples is drawn by
+``sample_*`` alone.  Samples that hit a degenerate configuration raise a
 GeometryError and are counted as skipped; a run fails with
 SamplerStarvation when fewer than 90% of the requested samples survive.
 """
@@ -18,7 +23,7 @@ import math
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,9 +57,9 @@ from .spherical import (
 from .configurations import (
     build_config,
     collinearity_residual,
-    eleven_points,
     five_points_chordal,
     five_points_euclid,
+    h_family,
     pq_family,
 )
 
@@ -124,25 +129,109 @@ def _rng(spec: SampleSpec, index: int) -> np.random.Generator:
     return rng
 
 
-def sample_disk_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
-    """Pair in the punctured disk, non-collinear with 0, within margins."""
+_CHUNK = 1024                     # samples per vectorized draw in run_check
+# A shorter chunk is drawn one sample at a time: a vectorized draw costs
+# ~0.2 ms however few samples it covers, and saves that over re-keying one
+# generator per sample only above ~100-200 samples (measured on all three
+# samplers).
+_MIN_CHUNK = 256
+_PHILOX_M = ((0xCA5A826395121157,), (0xD2E7470EE14C6C93,))   # for words 2, 0
+_PHILOX_W = ((0x9E3779B97F4A7C15,), (0xBB67AE8584CAA73B,))   # key bumps
+
+
+def _first_uniforms(seed: int, begin: int, end: int, words: int
+                    ) -> list[list[float]]:
+    """Row i - begin holds ``_rng(spec, i).random(words)`` for sample i in
+    begin .. end-1 of a spec with this seed, from one pass of Philox4x64-10
+    over numpy arrays.
+
+    numpy increments counter word 0 before its first block, so block j = 1,
+    2, ... of sample i is Philox of counter (j, 0, i, 0) under key
+    (seed mod 2**64, 0).
+    Each round multiplies words 2 and 0 by the two Philox constants; the high
+    half of each 64x64-bit product is assembled from its 32-bit halves."""
+    blocks, n = -(-words // 4), end - begin
+    even = np.zeros((2, blocks * n), np.uint64)     # words (0, 2) per counter
+    even[0] = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64), n)
+    even[1] = np.tile(np.arange(begin, end, dtype=np.uint64), blocks)
+    odd = np.zeros_like(even)                       # words (1, 3)
+    mult, weyl = np.array(_PHILOX_M, np.uint64), np.array(_PHILOX_W, np.uint64)
+    m_lo, m_hi = mult & 0xFFFFFFFF, mult >> 32
+    key = np.array([[seed & _M64], [0]], np.uint64)
+    for rnd in range(10):
+        if rnd:
+            key += weyl
+        x = even[::-1]                              # words (2, 0)
+        x_lo, x_hi = x & 0xFFFFFFFF, x >> 32
+        cross = x_hi * m_lo
+        mid = x_lo * m_hi + (x_lo * m_lo >> 32) + (cross & 0xFFFFFFFF)   # < 2**64
+        high = x_hi * m_hi + (cross >> 32) + (mid >> 32)
+        even, odd = high ^ odd ^ key, x * mult
+    out = np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+    out = out.reshape(blocks, n, 4).transpose(1, 0, 2).reshape(n, 4 * blocks)
+    # numpy's random(): the top 53 bits times 2**-53
+    return ((out[:, :words] >> 11) * 2.0 ** -53).tolist()
+
+
+def _retry(spec: SampleSpec, index: int, attempt: Callable, words: int,
+           name: str) -> tuple:
+    """Sample ``index``: ``attempt`` on one draw of ``words`` uniforms at a
+    time, until it accepts one."""
     rng = _rng(spec, index)
+    for _ in range(1000):
+        sample = attempt(spec, rng.random(words).tolist())
+        if sample is not None:
+            return sample
+    raise SamplerStarvation(f"{name} rejection sampling did not converge")
+
+
+def _disk_pair_attempt(spec: SampleSpec, u: Sequence[float]
+                       ) -> tuple[complex, complex] | None:
+    """One disk_pair attempt on four uniforms; None when it is rejected."""
     lo, hi = spec.min_radius, 1 - spec.boundary_margin
     if hi < lo:
         raise ValueError("min_radius and boundary_margin leave no radii")
-    for _ in range(1000):
-        # one draw per attempt; lo + (hi - lo) u is numpy's uniform(lo, hi)
-        ua, ub, va, vb = rng.random(4).tolist()
-        ra, rb = lo + (hi - lo) * ua, lo + (hi - lo) * ub
-        ta, tb = 2 * math.pi * va, 2 * math.pi * vb
-        gap = abs(math.remainder(ta - tb, math.pi))
-        if gap < spec.min_angle or math.pi - gap < spec.min_angle:
-            continue
-        if spec.moduli_margin and abs(ra - rb) < spec.moduli_margin:
-            continue
-        return complex(ra * math.cos(ta), ra * math.sin(ta)), \
-            complex(rb * math.cos(tb), rb * math.sin(tb))
-    raise SamplerStarvation("disk_pair rejection sampling did not converge")
+    ua, ub, va, vb = u
+    # lo + (hi - lo) u is numpy's uniform(lo, hi)
+    ra, rb = lo + (hi - lo) * ua, lo + (hi - lo) * ub
+    ta, tb = 2 * math.pi * va, 2 * math.pi * vb
+    gap = abs(math.remainder(ta - tb, math.pi))
+    if gap < spec.min_angle or math.pi - gap < spec.min_angle:
+        return None
+    if spec.moduli_margin and abs(ra - rb) < spec.moduli_margin:
+        return None
+    return complex(ra * math.cos(ta), ra * math.sin(ta)), \
+        complex(rb * math.cos(tb), rb * math.sin(tb))
+
+
+def sample_disk_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
+    """Pair in the punctured disk, non-collinear with 0, within margins."""
+    return _retry(spec, index, _disk_pair_attempt, 4, "disk_pair")
+
+
+def _circle_angles(spec: SampleSpec, u: Sequence[float]) -> list[float] | None:
+    """Sorted angles of four unit points, or None when a gap is < min_gap."""
+    # 2 pi u is numpy's uniform(0, 2 pi), so the angles are bit-identical
+    angles = sorted(2 * math.pi * x for x in u)
+    gaps = [y - x for x, y in zip(angles, [*angles[1:], angles[0] + 2 * math.pi])]
+    return None if min(gaps) < spec.min_gap else angles
+
+
+def _circle_quadruple(angles: list[float], ustart: float, tpos: float
+                      ) -> tuple[complex, complex, complex, complex, float]:
+    """The four points at ``angles``, turned together by 2 pi ustart, and tpos."""
+    start = 2 * math.pi * ustart
+    a, b, c, d = (complex(math.cos(t + start), math.sin(t + start))
+                  for t in angles)
+    return a, b, c, d, tpos
+
+
+def _circle_quadruple_attempt(spec: SampleSpec, u: Sequence[float]
+                              ) -> tuple[complex, complex, complex, complex, float] | None:
+    """One circle_quadruple attempt on six uniforms; None when it is rejected.
+    The last two are read only by an accepted attempt."""
+    angles = _circle_angles(spec, u[:4])
+    return None if angles is None else _circle_quadruple(angles, u[4], u[5])
 
 
 def sample_circle_quadruple(spec: SampleSpec, index: int
@@ -151,43 +240,46 @@ def sample_circle_quadruple(spec: SampleSpec, index: int
     >= min_gap, plus a uniform parameter usable for chord points."""
     rng = _rng(spec, index)
     for _ in range(1000):
-        # 2 pi u is numpy's uniform(0, 2 pi), so the angles are bit-identical
-        angles = sorted(2 * math.pi * u for u in rng.random(4).tolist())
-        gaps = [y - x for x, y in zip(angles, [*angles[1:], angles[0] + 2 * math.pi])]
-        if min(gaps) < spec.min_gap:
-            continue
-        ustart, tpos = rng.random(2).tolist()
-        start = 2 * math.pi * ustart
-        a, b, c, d = (complex(math.cos(t + start), math.sin(t + start))
-                      for t in angles)
-        return a, b, c, d, tpos
+        angles = _circle_angles(spec, rng.random(4).tolist())
+        if angles is not None:
+            return _circle_quadruple(angles, *rng.random(2).tolist())
     raise SamplerStarvation("circle_quadruple rejection sampling did not converge")
+
+
+# angles of -1 and +1 seen from the centre -0.2i of the widest lens arc
+_WIDEST_ARC = (math.atan2(0.2, -1.0), math.atan2(0.2, 1.0))
+
+
+def _lens_pair_attempt(spec: SampleSpec, u: Sequence[float]
+                       ) -> tuple[complex, complex] | None:
+    """One lens_pair attempt on three uniforms; None when it is rejected,
+    including when min_angle leaves the drawn arc empty."""
+    if _WIDEST_ARC[0] - spec.min_angle < _WIDEST_ARC[1] + spec.min_angle:
+        raise ValueError("min_angle leaves no arc to sample")
+    ut, ua, ub = u
+    t = 0.2 + (3.0 - 0.2) * ut                # arc circle center at -it
+    center = -1j * t
+    radius = math.sqrt(1 + t * t)
+    lo = math.atan2(t, -1.0)                  # angle of -1 seen from center
+    hi = math.atan2(t, 1.0)                   # angle of +1 seen from center
+    first, last = hi + spec.min_angle, lo - spec.min_angle
+    if last < first:
+        return None
+    pa = center + radius * np.exp(1j * (first + (last - first) * ua))
+    pb = center + radius * np.exp(1j * (first + (last - first) * ub))
+    a = complex(pa)
+    b = complex(pb).conjugate()
+    if a.imag <= 0 or b.imag >= 0:
+        return None
+    if abs(a) >= 1 - spec.boundary_margin or abs(b) >= 1 - spec.boundary_margin:
+        return None
+    return a, b
 
 
 def sample_lens_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
     """Boundary points of a lens through -1 and 1 symmetric in the real axis:
     a on the upper arc, b on the lower (mirrored) arc."""
-    rng = _rng(spec, index)
-    for _ in range(1000):
-        ut, ua, ub = rng.random(3).tolist()
-        t = 0.2 + (3.0 - 0.2) * ut                # arc circle center at -it
-        center = -1j * t
-        radius = math.sqrt(1 + t * t)
-        lo = math.atan2(t, -1.0)                  # angle of -1 seen from center
-        hi = math.atan2(t, 1.0)                   # angle of +1 seen from center
-        first, last = hi + spec.min_angle, lo - spec.min_angle
-        if last < first:
-            raise ValueError("min_angle leaves no arc to sample")
-        pa = center + radius * np.exp(1j * (first + (last - first) * ua))
-        pb = center + radius * np.exp(1j * (first + (last - first) * ub))
-        a = complex(pa)
-        b = complex(pb).conjugate()
-        if a.imag <= 0 or b.imag >= 0:
-            continue
-        if abs(a) >= 1 - spec.boundary_margin or abs(b) >= 1 - spec.boundary_margin:
-            continue
-        return a, b
-    raise SamplerStarvation("lens_pair rejection sampling did not converge")
+    return _retry(spec, index, _lens_pair_attempt, 3, "lens_pair")
 
 
 SAMPLERS: dict[str, Callable] = {
@@ -195,6 +287,31 @@ SAMPLERS: dict[str, Callable] = {
     "circle_quadruple": sample_circle_quadruple,
     "lens_pair": sample_lens_pair,
 }
+
+# per sampler: the uniforms its first attempt reads, and the attempt itself
+_FIRST_ATTEMPTS: dict[str, tuple[int, Callable]] = {
+    "disk_pair": (4, _disk_pair_attempt),
+    "circle_quadruple": (6, _circle_quadruple_attempt),
+    "lens_pair": (3, _lens_pair_attempt),
+}
+
+
+def _samples(spec: SampleSpec) -> Iterator[tuple]:
+    """Samples 0 .. count-1 of ``spec``, equal to ``SAMPLERS[spec.sampler]``'s.
+    First attempts are drawn a chunk at a time; a sample whose first attempt
+    is rejected, or whose chunk is too small to vectorize, is drawn by the
+    scalar sampler from its start."""
+    sampler = SAMPLERS[spec.sampler]
+    words, attempt = _FIRST_ATTEMPTS[spec.sampler]
+    for begin in range(0, spec.count, _CHUNK):
+        end = min(begin + _CHUNK, spec.count)
+        if end - begin < _MIN_CHUNK:
+            for i in range(begin, end):
+                yield sampler(spec, i)
+            continue
+        for i, u in enumerate(_first_uniforms(spec.seed, begin, end, words), begin):
+            sample = attempt(spec, u)
+            yield sampler(spec, i) if sample is None else sample
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +394,18 @@ def _residual_five_points_chordal(sample: Sequence[complex]) -> float:
 
 
 def _residual_eleven_points(sample: Sequence[complex]) -> float:
+    """eleven_points(a, b)[1] without the p/q family, which it does not read.
+
+    Dropping p/q changes no skip count: _pq_family can only refuse p or q, and
+    inside default_spec's disk_pair margins (0.05 <= |a|, |b| <= 0.95) neither
+    denominator comes near _DENOM_TOL = 1e-12.  Since |1 - a conj(b)|^2 -
+    |a - b|^2 = (1 - |a|^2)(1 - |b|^2) > 0, |1 - a conj(b)| - |a - b| > 0, so
+    p's denominator is >= (1 - |a|^2)^2 >= 9.5e-3 and q's is
+    >= |b|^2 (1 - |a|^2)^2 >= 2.4e-5.  And Q = b(1 - |a|^2)^2 plus a real
+    multiple of a is not 0, because a, b are not collinear with 0 (else
+    _check_pair refuses them), so p_c and q_c divide by no zero."""
     a, b = sample
-    return eleven_points(a, b)[1]
+    return collinearity_residual([0j, *h_family(a, b)[0]])
 
 
 def _residual_pq_collinear(sample: Sequence[complex]) -> float:
@@ -444,13 +571,11 @@ def run_check(theorem_id: str, spec: SampleSpec,
             f"{theorem_id} requires sampler {check.sampler!r}, got {spec.sampler!r}")
     if tol is None:
         tol = check.default_tol
-    sampler = SAMPLERS[spec.sampler]
     start = time.perf_counter()
     max_res, sum_res = 0.0, 0.0
     worst: Sequence = ()
     evaluated = skipped = 0
-    for i in range(spec.count):
-        sample = sampler(spec, i)
+    for sample in _samples(spec):
         try:
             r = check.fn(sample)
         except GeometryError:

@@ -32,6 +32,7 @@ from diskgeom.configurations import (
     pq_family,
 )
 from diskgeom.hyperbolic import hyperbolic_midpoint
+from diskgeom.verify import _residual_eleven_points, default_spec, sample_disk_pair
 
 from conftest import polar_points, well_separated
 
@@ -548,3 +549,16 @@ def test_each_closed_form_is_written_once():
                     "sign * math.sqrt(R ** 2 + H2)",              # great-circle root
                     "line_intersection(g, h, a, c)"):             # conjecture point j
         assert sources.count(formula) == 1, formula
+
+
+def test_eleven_point_check_residual_is_eleven_points_residual_without_pq():
+    # the eleven_points check computes only the H family; its residual must
+    # be eleven_points' own, bit for bit, or the same GeometryError class
+    spec = default_spec("eleven_points", 400, 11)
+    sampled = [sample_disk_pair(spec, i) for i in range(spec.count)]
+    kinds = set()
+    for a, b in sampled + _regular_and_near_pairs(100):
+        outcome = _outcome(lambda: _residual_eleven_points((a, b)))
+        assert repr(outcome) == repr(_outcome(lambda: eleven_points(a, b)[1])), (a, b)
+        kinds.add(outcome[1] if outcome[0] == "error" else "value")
+    assert {"value", CollinearWithOrigin, DegenerateDenominator, NearBoundary} <= kinds

@@ -10,14 +10,18 @@ import pytest
 
 from diskgeom.errors import (
     DegenerateDenominator,
+    GeometryError,
     SamplerMismatch,
     SamplerStarvation,
     UnknownTheorem,
 )
 from diskgeom.verify import (
     CHECKS,
+    SAMPLERS,
     SampleSpec,
     _Check,
+    _disk_pair_attempt,
+    _first_uniforms,
     _residual_explicit_formulas,
     _rng,
     conjecture_check,
@@ -211,6 +215,156 @@ def test_samples_ignore_interleaving_threads_and_extreme_indices(seed):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results[0] + results[1] == sequential
+
+
+def _lens_pair_raising_on_an_empty_arc(spec, index):
+    """sample_lens_pair as it was while an empty arc raised ValueError."""
+    rng = _rng(spec, index)
+    for _ in range(1000):
+        ut, ua, ub = rng.random(3).tolist()
+        t = 0.2 + (3.0 - 0.2) * ut
+        center, radius = -1j * t, math.sqrt(1 + t * t)
+        first = math.atan2(t, 1.0) + spec.min_angle
+        last = math.atan2(t, -1.0) - spec.min_angle
+        if last < first:
+            raise ValueError("min_angle leaves no arc to sample")
+        a = complex(center + radius * np.exp(1j * (first + (last - first) * ua)))
+        b = complex(center + radius * np.exp(1j * (first + (last - first) * ub))).conjugate()
+        if a.imag <= 0 or b.imag >= 0:
+            continue
+        if abs(a) >= 1 - spec.boundary_margin or abs(b) >= 1 - spec.boundary_margin:
+            continue
+        return a, b
+
+
+def test_lens_pair_sampler_rejects_an_empty_arc_instead_of_raising():
+    # at min_angle 0.4 an arc is empty for t > ~2.38; such a draw is now a
+    # rejected attempt, and every sample that drew none keeps its value
+    spec = _spec(sampler="lens_pair", count=2000, seed=0, min_angle=0.4)
+    emptied = 0
+    for i in range(spec.count):
+        try:
+            before = _lens_pair_raising_on_an_empty_arc(spec, i)
+        except ValueError:
+            emptied += 1
+            assert sample_lens_pair(spec, i)[0].imag > 0
+            continue
+        assert sample_lens_pair(spec, i) == before
+    assert emptied > 300
+    report = run_check("lens_lemma", spec)
+    assert (report.evaluated, report.skipped) == (2000, 0) and report.passed
+
+
+# ---------------------------------------------------------------------------
+# run_check's chunked sample stream
+
+
+@pytest.mark.parametrize("seed", [0, -1, 20260823, 2**63 + 5])
+@pytest.mark.parametrize("words", [3, 4, 6, 9])
+def test_first_uniforms_match_the_scalar_generator(seed, words):
+    spec = _spec(seed=seed)
+    for begin, end in ((0, 40), (1000, 1030), (2**64 - 20, 2**64 - 1)):
+        rows = _first_uniforms(seed, begin, end, words)
+        assert rows == [_rng(spec, i).random(words).tolist() for i in range(begin, end)]
+
+
+def _scalar_run_check(theorem_id, spec):
+    """run_check's report without wall_time_s, from its loop as first
+    written: one scalar sampler call per sample."""
+    check, sampler = CHECKS[theorem_id], SAMPLERS[spec.sampler]
+    max_res, sum_res, worst = 0.0, 0.0, ()
+    evaluated = skipped = 0
+    for i in range(spec.count):
+        sample = sampler(spec, i)
+        try:
+            r = check.fn(sample)
+        except GeometryError:
+            skipped += 1
+            continue
+        evaluated += 1
+        sum_res += r
+        if r >= max_res or math.isnan(r):
+            max_res, worst = r, sample
+    if evaluated < 0.9 * spec.count:
+        raise SamplerStarvation(f"only {evaluated}/{spec.count} samples survived")
+    return dict(theorem_id=theorem_id, sampler=spec.sampler, requested=spec.count,
+                evaluated=evaluated, skipped=skipped, seed=spec.seed,
+                tolerance=check.default_tol, max_residual=max_res,
+                mean_residual=sum_res / evaluated,
+                worst_input=[[complex(z).real, complex(z).imag] for z in worst],
+                passed=math.isfinite(max_res) and (max_res <= check.default_tol
+                                                   or not check.assertive),
+                assertive=check.assertive)
+
+
+def _chunked_report(theorem_id, spec):
+    report = run_check(theorem_id, spec).to_dict()
+    report.pop("wall_time_s")
+    return report
+
+
+def _stream_probe(sample):
+    """A cheap residual that varies with every coordinate of the sample and
+    refuses about one sample in 40."""
+    r = abs(sum(map(complex, sample)))
+    if int(r * 1e7) % 40 == 0:
+        raise DegenerateDenominator("refused on purpose")
+    return r
+
+
+@pytest.mark.parametrize("seed", [0, 20260823, 2**63 + 5])
+@pytest.mark.parametrize("sampler, kw", [
+    ("disk_pair", {}),
+    ("disk_pair", {"moduli_margin": 0.02}),
+    ("disk_pair", {"moduli_margin": 0.3, "min_angle": 0.6}),   # rejects ~3 in 4
+    ("circle_quadruple", {}),
+    ("circle_quadruple", {"min_gap": 0.5}),                    # rejects ~2 in 3
+    ("lens_pair", {}),
+    ("lens_pair", {"min_angle": 0.4}),                         # empty arcs
+])
+def test_chunked_stream_reports_equal_the_scalar_loop(monkeypatch, seed, sampler, kw):
+    monkeypatch.setitem(CHECKS, "stream_probe", _Check(sampler, 1.0, _stream_probe))
+    for count in (1, 256, 1023, 1024, 1025, 1280, 2049):
+        spec = _spec(sampler=sampler, count=count, seed=seed, **kw)
+        try:
+            expected = _scalar_run_check("stream_probe", spec)
+        except SamplerStarvation:         # a lone sample that the probe refuses
+            with pytest.raises(SamplerStarvation):
+                run_check("stream_probe", spec)
+            continue
+        assert _chunked_report("stream_probe", spec) == expected, count
+        if count == 2049:
+            assert expected["skipped"] > 0
+
+
+def test_chunked_stream_reports_equal_the_scalar_loop_on_every_check():
+    for theorem_id in CHECKS:
+        spec = default_spec(theorem_id, 1025, 20260823)
+        assert _chunked_report(theorem_id, spec) == _scalar_run_check(theorem_id, spec)
+
+
+def test_run_check_draws_one_by_one_only_rejected_first_attempts_and_short_chunks(
+        monkeypatch):
+    calls = []
+
+    def counted(spec, index):
+        calls.append(index)
+        return sample_disk_pair(spec, index)
+
+    monkeypatch.setitem(SAMPLERS, "disk_pair", counted)
+    spec = default_spec("eleven_points", 1024 + 255, 5)   # a full chunk, a short one
+    run_check("eleven_points", spec)
+    rejected = [i for i in range(1024)
+                if _disk_pair_attempt(spec, _rng(spec, i).random(4).tolist()) is None]
+    assert 0 < len(rejected) < 100
+    assert calls == rejected + list(range(1024, 1279))
+
+
+def test_run_check_refuses_margins_that_leave_nothing_to_draw():
+    with pytest.raises(ValueError):
+        run_check("eleven_points", _spec(min_radius=0.9, boundary_margin=0.2))
+    with pytest.raises(ValueError):
+        run_check("lens_lemma", _spec(sampler="lens_pair", min_angle=1.5))
 
 
 # ---------------------------------------------------------------------------
