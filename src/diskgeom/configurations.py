@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -44,8 +43,7 @@ _H_FAMILY = ("k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c", "v_c")
 _NAMES = (*_H_FAMILY, "p", "q", "p_c", "q_c", "H")       # PointFamily order
 
 
-@dataclass(frozen=True)
-class DiskConfig:
+class DiskConfig(NamedTuple):
     """Validated pair a, b with the four derived boundary/reflection points."""
 
     a: complex

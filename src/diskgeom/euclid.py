@@ -12,7 +12,7 @@ max(1, operand magnitudes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AntipodalPair,
@@ -32,11 +32,10 @@ INFINITY = complex(math.inf, math.inf)
 
 def scale_of(*zs: complex) -> float:
     """Magnitude scale used to normalize absolute tolerances."""
-    return max(1.0, *(abs(z) for z in zs))
+    return max(1.0, *map(abs, zs))
 
 
-@dataclass(frozen=True)
-class GenCircle:
+class GenCircle(NamedTuple):
     """The line or circle A|z|^2 + conj(B) z + B conj(z) + C = 0 (A, C real).
 
     A circle has A != 0, center -B/A and radius sqrt(|B|^2 - AC)/|A|; a line
@@ -107,11 +106,12 @@ def line_intersection(a: complex, b: complex, c: complex, d: complex) -> complex
     """Intersection point of the lines through (a,b) and (c,d)."""
     if a == b or c == d:
         raise DegenerateInput("coincident defining points")
-    num = (a.conjugate() * b - a * b.conjugate()) * (c - d) \
-        - (c.conjugate() * d - c * d.conjugate()) * (a - b)
-    den = (a.conjugate() - b.conjugate()) * (c - d) \
-        - (c.conjugate() - d.conjugate()) * (a - b)
-    if abs(den) <= DEGENERACY_TOL * scale_of(a, b, c, d):
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    ab, cd = a - b, c - d
+    num = (ac * b - a * bc) * cd - (cc * d - c * dc) * ab
+    den = (ac - bc) * cd - (cc - dc) * ab
+    # scale_of(a, b, c, d), inlined: the call and its *args cost more than max
+    if abs(den) <= DEGENERACY_TOL * max(1.0, abs(a), abs(b), abs(c), abs(d)):
         raise ParallelLines(f"lines through {a},{b} and {c},{d} are parallel")
     return num / den
 

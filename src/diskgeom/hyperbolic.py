@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CoincidentPoints,
@@ -86,8 +86,7 @@ def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
             (a * (1 - a.conjugate() * b) * mab + (b - a) * m1) / den_b)
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(NamedTuple):
     """Hyperbolic line through a, b: a diameter, or a circle orthogonal to
     the unit circle."""
 
@@ -99,10 +98,9 @@ class Geodesic:
 def hyperbolic_line(a: complex, b: complex) -> Geodesic:
     """Geodesic through two distinct points of the open disk: the curve
     through a, b and 1/conj(a), a diameter when a, b, 0 are collinear."""
-    carrier = GenCircle.through(a, b, +1)
     if abs(a) >= 1 or abs(b) >= 1:
         raise OutsideDisk("points must lie in the open disk")
-    return Geodesic(carrier, a, b)
+    return Geodesic(GenCircle.through(a, b, +1), a, b)
 
 
 def hyperbolic_midpoint(x: complex, y: complex) -> complex:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import (
     GeometryError,
+    OutsideDisk,
     PointOutsideDisk,
     SamplerMismatch,
     SamplerStarvation,
@@ -209,21 +210,25 @@ def sample_disk_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
     return _retry(spec, index, _disk_pair_attempt, 4, "disk_pair")
 
 
+_TAU = 2 * math.pi
+
+
 def _circle_angles(spec: SampleSpec, u: Sequence[float]) -> list[float] | None:
     """Sorted angles of four unit points, or None when a gap is < min_gap."""
-    # 2 pi u is numpy's uniform(0, 2 pi), so the angles are bit-identical
-    angles = sorted(2 * math.pi * x for x in u)
-    gaps = [y - x for x, y in zip(angles, [*angles[1:], angles[0] + 2 * math.pi])]
-    return None if min(gaps) < spec.min_gap else angles
+    # _TAU u is numpy's uniform(0, 2 pi), so the angles are bit-identical
+    angles = sorted([_TAU * x for x in u])
+    t0, t1, t2, t3 = angles
+    if min(t1 - t0, t2 - t1, t3 - t2, t0 + _TAU - t3) < spec.min_gap:
+        return None
+    return angles
 
 
 def _circle_quadruple(angles: list[float], ustart: float, tpos: float
                       ) -> tuple[complex, complex, complex, complex, float]:
     """The four points at ``angles``, turned together by 2 pi ustart, and tpos."""
-    start = 2 * math.pi * ustart
-    a, b, c, d = (complex(math.cos(t + start), math.sin(t + start))
-                  for t in angles)
-    return a, b, c, d, tpos
+    start = _TAU * ustart
+    return (*[complex(math.cos(t + start), math.sin(t + start)) for t in angles],
+            tpos)
 
 
 def _circle_quadruple_attempt(spec: SampleSpec, u: Sequence[float]
@@ -319,19 +324,30 @@ def _samples(spec: SampleSpec) -> Iterator[tuple]:
 
 
 def midpoint_oracle(x: complex, y: complex) -> complex:
-    """Hyperbolic midpoint by bisection along the T_x-straightened geodesic.
+    """Hyperbolic midpoint by bisection along the T_x-straightened geodesic:
+    the point w = mid * u of [0, yp] with rho(0, w) = rho(w, yp).
+    Both distances are written out.  rho(0, w) is exactly 2 atanh(|w|), since
+    0 - w is -w and |1 - 0 conj(w)| is 1.0; halving both sides of
+    rho(0, w) < rho(w, yp) is exact, so the test compares the two atanh.
     Stopping once mid is lo or hi keeps the 100-step result: each later step
     keeps (lo, hi) or moves the other end onto mid, so 0.5 * (lo + hi) stays mid."""
     if x == y:
         return x
     yp = mobius_T(x, y)
-    u = yp / abs(yp)
-    lo, hi = 0.0, abs(yp)
+    ayp, ypc = abs(yp), yp.conjugate()
+    if ayp >= 1:
+        raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
+    u = yp / ayp
+    lo, hi = 0.0, ayp
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if rho(0j, mid * u) < rho(mid * u, yp):
+        w = mid * u
+        aw = abs(w)
+        if aw >= 1:
+            raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
+        if math.atanh(aw) < math.atanh(abs(w - yp) / abs(1 - w * ypc)):
             lo = mid
         else:
             hi = mid

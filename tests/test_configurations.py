@@ -17,7 +17,7 @@ from diskgeom.errors import (
     OutsideDisk,
     ZeroPoint,
 )
-from diskgeom.euclid import line_intersection, scale_of
+from diskgeom.euclid import GenCircle, line_intersection, scale_of
 from diskgeom import configurations
 from diskgeom.configurations import (
     PointFamily,
@@ -31,7 +31,7 @@ from diskgeom.configurations import (
     h_vector,
     pq_family,
 )
-from diskgeom.hyperbolic import hyperbolic_midpoint
+from diskgeom.hyperbolic import hyperbolic_line, hyperbolic_midpoint
 from diskgeom.verify import _residual_eleven_points, default_spec, sample_disk_pair
 
 from conftest import polar_points, well_separated
@@ -89,6 +89,19 @@ def test_build_config_reflections():
     cfg = build_config(0.5 + 0j, 0.3j)
     assert cfg.a_star == pytest.approx(2 + 0j)
     assert cfg.b_star == pytest.approx(1j / 0.3)
+
+
+@pytest.mark.parametrize("record, fields", [
+    (GenCircle(1.0, 0.5j, -0.75), ("A", "B", "C")),
+    (hyperbolic_line(0.3 + 0.1j, -0.2 + 0.4j), ("carrier", "a", "b")),
+    (build_config(0.3 + 0.1j, -0.2 + 0.4j),
+     ("a", "b", "a_star", "b_star", "a_end", "b_end")),
+])
+def test_records_keep_their_fields_and_refuse_assignment(record, fields):
+    assert type(record)._fields == fields
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from diskgeom.errors import (
     ParallelLines,
 )
 from diskgeom.euclid import (
+    DEGENERACY_TOL,
     INFINITY,
     GenCircle,
     circumcenter,
@@ -55,6 +56,57 @@ def test_line_intersection_parallel_raises():
 def test_line_intersection_coincident_points_raise():
     with pytest.raises(DegenerateInput):
         line_intersection(1j, 1j, 0j, 1 + 0j)
+
+
+def _reference_line_intersection(a, b, c, d):
+    """line_intersection as one expression, the way it was first written."""
+    if a == b or c == d:
+        raise DegenerateInput("coincident defining points")
+    num = (a.conjugate() * b - a * b.conjugate()) * (c - d) \
+        - (c.conjugate() * d - c * d.conjugate()) * (a - b)
+    den = (a.conjugate() - b.conjugate()) * (c - d) \
+        - (c.conjugate() - d.conjugate()) * (a - b)
+    if abs(den) <= DEGENERACY_TOL * max(1.0, *(abs(z) for z in (a, b, c, d))):
+        raise ParallelLines("parallel")
+    return num / den
+
+
+def _outcome(fn, *args):
+    """repr of the result (which tells -0.0 and nan apart) or the error type."""
+    try:
+        return repr(fn(*args))
+    except (DegenerateInput, ParallelLines) as exc:
+        return type(exc).__name__
+
+
+@given(st.tuples(polar_points(0.0, 50.0), polar_points(0.0, 50.0),
+                 polar_points(0.0, 50.0), polar_points(0.0, 50.0)))
+def test_line_intersection_is_bit_identical_to_the_plain_expression(pts):
+    assert _outcome(line_intersection, *pts) \
+        == _outcome(_reference_line_intersection, *pts)
+    a, b, c, _ = pts
+    for args in ((a, a, c, b), (a, b, c, c)):
+        assert _outcome(line_intersection, *args) == "DegenerateInput"
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+@given(a=polar_points(0.05, 50.0), b=polar_points(0.05, 50.0),
+       offset=polar_points(0.0, 50.0))
+def test_line_intersection_near_parallel_cutoff_matches_the_plain_expression(
+        a, b, offset, factor):
+    # cd = (a - b)(1 + i delta) makes |den| = 2 delta |a - b|^2, up to
+    # rounding: a factor of the cutoff DEGENERACY_TOL * scale
+    assume(abs(a - b) > 1e-3)
+    c = a + offset
+    scale = max(1.0, abs(a), abs(b), abs(c), abs(c - (a - b)))
+    delta = factor * DEGENERACY_TOL * scale / (2 * abs(a - b) ** 2)
+    d = c - (a - b) * (1 + 1j * delta)
+    got = _outcome(line_intersection, a, b, c, d)
+    assert got == _outcome(_reference_line_intersection, a, b, c, d)
+    if factor == 0.5:
+        assert got == "ParallelLines"
+    if factor == 2.0:
+        assert got != "ParallelLines"
 
 
 @given(st.tuples(polar_points(0.05, 2.0), polar_points(0.05, 2.0),
@@ -150,6 +202,12 @@ def test_circumcenter_with_inversion_matches_general_formula(pts):
         through = GenCircle.through(a, b, sign).center
         general = circumcenter(a, sign / a.conjugate(), b)
         assert abs(through - general) <= 1e-9 * scale_of(through, general)
+
+
+def test_gencircle_constructors_return_gencircles():
+    for curve in (GenCircle.line(0j, 1 + 1j), GenCircle.circle(0.2j, 0.5),
+                  GenCircle.through(0.3 + 0.1j, -0.2 + 0.4j, -1)):
+        assert type(curve) is GenCircle
 
 
 def test_curve_through_a_pair_refuses_coincident_and_antipodal_points():

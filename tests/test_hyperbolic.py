@@ -149,6 +149,22 @@ def test_diameter_geodesic_is_a_line():
     assert g.carrier.A == 0
 
 
+@pytest.mark.parametrize("a, b", [
+    (2, 0.5),          # b = 1/conj(a): the carrier's coefficients vanish
+    (1.5, 1.5),        # coincident
+    (0.3j, 1.0),       # on the unit circle
+    (-1.2 + 0.1j, 0.4 - 0.2j),
+])
+def test_hyperbolic_line_refuses_points_outside_the_disk_first(a, b):
+    with pytest.raises(OutsideDisk):
+        hyperbolic_line(a, b)
+
+
+def test_hyperbolic_line_in_disk_refusal_is_unchanged():
+    with pytest.raises(CoincidentPoints):
+        hyperbolic_line(0.3 + 0.1j, 0.3 + 0.1j)
+
+
 @given(st.tuples(polar_points(), polar_points()))
 def test_geodesic_circle_orthogonal_to_unit_circle(pts):
     a, b = pts

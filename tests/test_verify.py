@@ -11,6 +11,7 @@ import pytest
 from diskgeom.errors import (
     DegenerateDenominator,
     GeometryError,
+    OutsideDisk,
     SamplerMismatch,
     SamplerStarvation,
     UnknownTheorem,
@@ -402,6 +403,19 @@ def _hundred_step_midpoint_oracle(x, y):
         else:
             hi = mid
     return mobius_T(-x, 0.5 * (lo + hi) * u)
+
+
+@pytest.mark.parametrize("x, y, refusing", [
+    (0.3 + 0.1j, 1.2, rho),        # |T_x(y)| >= 1
+    (0.3 + 0.1j, 3, rho),
+    (1.2, 0.3j, mobius_T),         # |x| >= 1
+])
+def test_midpoint_oracle_refuses_with_rho_and_mobius_T_messages(x, y, refusing):
+    with pytest.raises(OutsideDisk) as want:
+        refusing(x, y)
+    with pytest.raises(OutsideDisk) as got:
+        midpoint_oracle(x, y)
+    assert str(got.value) == str(want.value)
 
 
 def test_midpoint_oracle_early_exit_keeps_the_hundred_step_result():
