@@ -187,6 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # points' `--a X` as `--a=X`: argparse reads an X such as -0.4+0.1i as an option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[0] == "points" and argv[i - 1] in ("--a", "--b"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -7,11 +7,12 @@ family k_c ... v_c, and the p/q family each have two evaluation paths:
 synthetic intersections and closed forms, which must agree.
 
 One straight-line kernel per family (_line_family, _chordal_family,
-_pq_family) holds the closed forms over what _moduli computes once per pair
-and returns a degenerate point as its GeometryError instance: eleven_points
-raises the first in PointFamily order, family_report reports each.  The
-synthetic paths stay independent of the kernels, except that the p/q path
-takes the direction conj(Q) from _moduli to pick between two roots.
+_pq_family) holds the closed forms over what _moduli computes once per pair,
+as does midpoint_from_moduli for m.  A kernel appends its points to one list,
+a degenerate point as its GeometryError instance, and returns the first such
+error: h_family raises it, family_report reports each.  Only p/q callers
+build conj(Q) (_conj_q); the synthetic paths stay independent of the
+kernels, except that the p/q path takes conj(Q) to pick between two roots.
 
 All eleven points of the combined family are real multiples of
 H = a(1-|b|^2) + b(1-|a|^2); p, q, p_c, q_c are positive real multiples of
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
     ZeroPoint,
 )
 from .euclid import line_intersection
-from .hyperbolic import geodesic_endpoints, hyperbolic_midpoint
+from .hyperbolic import geodesic_endpoints, midpoint_from_moduli
 from .spherical import GcisQuadratic, gcis, gcis_roots, quadratic_error, quadratic_root
 
 _DENOM_TOL = 1e-12
@@ -77,7 +79,7 @@ class PointFamily(NamedTuple):
 
 def h_vector(a: complex, b: complex) -> complex:
     """Common direction H = a(1-|b|^2) + b(1-|a|^2) of the eleven points."""
-    return a * (1 - abs(b) ** 2) + b * (1 - abs(a) ** 2)
+    return _moduli(a, b)[-1]
 
 
 def _check_pair(a: complex, b: complex) -> None:
@@ -101,35 +103,36 @@ def build_config(a: complex, b: complex) -> DiskConfig:
 
 
 def _moduli(a: complex, b: complex) -> tuple:
-    """Re(a conj(b)), |a-b|, |1 - a conj(b)|, |a|^2, |b|^2, |ab|^2, H and conj(Q)."""
+    """Re(a conj(b)), |a-b|, |1 - a conj(b)|, |a|^2, |b|^2, |ab|^2 and H."""
     ab = a * b.conjugate()
-    mab, m1, a2 = abs(a - b), abs(1 - ab), abs(a) ** 2
-    return (ab.real, mab, m1, a2, abs(b) ** 2, abs(a * b) ** 2, h_vector(a, b),
-            b * (1 - a2) ** 2 + a * mab * (m1 - mab))
+    a2, b2 = abs(a) ** 2, abs(b) ** 2
+    return (ab.real, abs(a - b), abs(1 - ab), a2, b2, abs(a * b) ** 2,
+            a * (1 - b2) + b * (1 - a2))
 
 
-def _quotient(name: str, num: complex, den: float) -> complex | GeometryError:
-    """num / den, or DegenerateDenominator when den is within rounding of 0."""
-    if abs(den) <= _DENOM_TOL:
-        return DegenerateDenominator(f"denominator of {name} vanishes")
-    return num / den
+def _conj_q(a: complex, b: complex, mab: float, m1: float, a2: float) -> complex:
+    """conj(Q), the direction of p, q, p_c and q_c, from _moduli's values."""
+    return b * (1 - a2) ** 2 + a * mab * (m1 - mab)
 
 
-def _raised(values: list) -> list:
-    """A kernel's values, after raising the first GeometryError among them."""
-    for value in values:
-        if isinstance(value, GeometryError):
-            raise value
-    return values
+def _quotients(names: str, nums: tuple, dens: tuple, out: list) -> GeometryError | None:
+    """Append num / den to out, or DegenerateDenominator if den is within rounding of 0."""
+    first = None
+    for name, num, den in zip(names, nums, dens):
+        if abs(den) <= _DENOM_TOL:
+            out.append(DegenerateDenominator(f"denominator of {name} vanishes"))
+            first = first or out[-1]
+        else:
+            out.append(num / den)
+    return first
 
 
-def _line_family(re, mab, m1, a2, b2, ab2, H: complex) -> list:
-    """k, s, t, u, v as real multiples of H; re = Re(a conj(b))."""
-    return [_quotient("k", (mab - m1) * H, (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
-            _quotient("s", H, 2 - 2 * re - mab * m1),
-            _quotient("t", H, 2 * re - 2 * ab2 + mab * m1),
-            _quotient("u", H, 1 - ab2),
-            _quotient("v", (m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab)]
+def _line_family(re, mab, m1, a2, b2, ab2, H: complex, out: list) -> GeometryError | None:
+    """Append k, s, t, u, v, real multiples of H, to out (re = Re(a conj(b)))."""
+    return _quotients("kstuv", ((mab - m1) * H, H, H, H, (m1 - mab) * H),
+                      ((1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1,
+                       2 - 2 * re - mab * m1, 2 * re - 2 * ab2 + mab * m1, 1 - ab2,
+                       (2 - (a2 + b2)) * m1 - (1 - ab2) * mab), out)
 
 
 def _chordal_R(mab, m1, a2, b2) -> list:
@@ -143,12 +146,16 @@ def _chordal_R(mab, m1, a2, b2) -> list:
     return [kc, m1 * (m1 - mab), m1 * gap, 0.0, vc]
 
 
-def _chordal_family(mab, m1, a2, b2, H: complex) -> list:
-    """k_c, s_c, t_c, u_c, v_c: each quadratic's root in the closed disk."""
-    H2 = abs(H) ** 2
-    return [R if isinstance(R, GeometryError)
-            else quadratic_error(H, R) or quadratic_root(H, H2, R)
-            for R in _chordal_R(mab, m1, a2, b2)]
+def _chordal_family(mab, m1, a2, b2, H: complex, out: list) -> GeometryError | None:
+    """Append k_c ... v_c, each quadratic's root in the closed disk, to out."""
+    H2, nonzero, first = abs(H) ** 2, H != 0, None
+    for R in _chordal_R(mab, m1, a2, b2):
+        if isinstance(R, float) and nonzero and math.isfinite(R):
+            out.append(quadratic_root(H, H2, R))
+        else:
+            out.append(R if isinstance(R, GeometryError) else quadratic_error(H, R))
+            first = first or out[-1]
+    return first
 
 
 def _positive_multiple(roots: tuple[complex, complex], direction: complex) -> complex:
@@ -157,15 +164,24 @@ def _positive_multiple(roots: tuple[complex, complex], direction: complex) -> co
     return roots[1] if (roots[1] * d).real > (roots[0] * d).real else roots[0]
 
 
-def _pq_family(mab, m1, a2, b2, num: complex) -> list:
-    """p, q, p_c, q_c as positive real multiples of num = conj(Q); p_c, q_c are
-    roots of Q z^2 -+ c1 z - conj(Q) = 0, which share one discriminant."""
+def _pq_family(mab, m1, a2, b2, num: complex, out: list) -> GeometryError | None:
+    """Append p, q, p_c, q_c, positive real multiples of num = conj(Q), to out; p_c,
+    q_c are roots of Q z^2 -+ c1 z - conj(Q) = 0, which share one discriminant."""
+    first = _quotients("pq", (num, num), ((1 - a2) ** 2 + a2 * mab * (m1 - mab),
+                                          b2 * (1 - a2) ** 2 + mab * (m1 - mab)), out)
     c2, c1 = num.conjugate(), (1 - a2) * m1 * (mab - m1)
     disc, two_c2 = cmath.sqrt(c1 * c1 - 4 * c2 * -num), 2 * c2
-    return [_quotient("p", num, (1 - a2) ** 2 + a2 * mab * (m1 - mab)),
-            _quotient("q", num, b2 * (1 - a2) ** 2 + mab * (m1 - mab)),
-            _positive_multiple(((c1 + disc) / two_c2, (c1 - disc) / two_c2), num),
+    out += [_positive_multiple(((c1 + disc) / two_c2, (c1 - disc) / two_c2), num),
             _positive_multiple(((-c1 + disc) / two_c2, (-c1 - disc) / two_c2), num)]
+    return first
+
+
+def _points(kernel, *args) -> tuple:
+    """A kernel's points, after raising the first GeometryError among them."""
+    out = []
+    if error := kernel(*args, out):
+        raise error
+    return tuple(out)
 
 
 def _chords(cfg: DiskConfig) -> tuple:
@@ -183,15 +199,16 @@ def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
         return tuple([line_intersection(*chords) for chords in _chords(cfg)[:5]])
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
-    re, mab, m1, a2, b2, ab2, H, _ = _moduli(cfg.a, cfg.b)
-    return tuple(_raised(_line_family(re, mab, m1, a2, b2, ab2, H)))
+    return _points(_line_family, *_moduli(cfg.a, cfg.b))
 
 
 def chordal_quadratics(cfg: DiskConfig) -> dict[str, GcisQuadratic]:
     """Quadratic conj(H) z^2 + 2Rz - H = 0 for each great-circle point."""
-    _, mab, m1, a2, b2, _, H, _ = _moduli(cfg.a, cfg.b)
-    return dict(zip(("kc", "sc", "tc", "uc", "vc"),
-                    [GcisQuadratic(H, R) for R in _raised(_chordal_R(mab, m1, a2, b2))]))
+    _, mab, m1, a2, b2, _, H = _moduli(cfg.a, cfg.b)
+    Rs = _chordal_R(mab, m1, a2, b2)
+    if isinstance(Rs[0], GeometryError):        # k_c and v_c are refused together
+        raise Rs[0]
+    return dict(zip(("kc", "sc", "tc", "uc", "vc"), [GcisQuadratic(H, R) for R in Rs]))
 
 
 def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
@@ -201,8 +218,8 @@ def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
         return tuple([gcis(*chords) for chords in _chords(cfg)[:5]])
     if path != "quadratic":
         raise ValueError(f"unknown path {path!r}")
-    _, mab, m1, a2, b2, _, H, _ = _moduli(cfg.a, cfg.b)
-    return tuple(_raised(_chordal_family(mab, m1, a2, b2, H)))
+    _, mab, m1, a2, b2, _, H = _moduli(cfg.a, cfg.b)
+    return _points(_chordal_family, mab, m1, a2, b2, H)
 
 
 def pq_family(cfg: DiskConfig, path: str = "closed_form"
@@ -212,15 +229,16 @@ def pq_family(cfg: DiskConfig, path: str = "closed_form"
     The chordal pair is selected among the quadratic (or GCIS) roots by that
     direction: q_c generally lies outside the unit disk.
     """
-    if path == "synthetic":
-        num, (p, q) = _moduli(cfg.a, cfg.b)[-1], _chords(cfg)[5:]    # num = conj(Q)
-        return (line_intersection(*p), line_intersection(*q),
-                _positive_multiple(gcis_roots(*p), num),
-                _positive_multiple(gcis_roots(*q), num))
-    if path != "closed_form":
+    if path not in ("closed_form", "synthetic"):
         raise ValueError(f"unknown path {path!r}")
-    _, mab, m1, a2, b2, _, _, num = _moduli(cfg.a, cfg.b)
-    return tuple(_raised(_pq_family(mab, m1, a2, b2, num)))
+    _, mab, m1, a2, b2, _, _ = _moduli(cfg.a, cfg.b)
+    num = _conj_q(cfg.a, cfg.b, mab, m1, a2)
+    if path == "closed_form":
+        return _points(_pq_family, mab, m1, a2, b2, num)
+    p, q = _chords(cfg)[5:]
+    return (line_intersection(*p), line_intersection(*q),
+            _positive_multiple(gcis_roots(*p), num),
+            _positive_multiple(gcis_roots(*q), num))
 
 
 def collinearity_residual(points: list[complex]) -> float:
@@ -237,17 +255,16 @@ def collinearity_residual(points: list[complex]) -> float:
         return math.nan
     anchor = points[0]
     rel = [(r.real, r.imag, abs(r)) for r in [z - anchor for z in points[1:]]]
-    worst = 0.0
-    for i, (xi, yi, mi) in enumerate(rel):
-        for xj, yj, mj in rel[i + 1:]:
-            # Im(r_i conj(r_j)) in the operations of Python's complex product
-            r = abs(xi * -yj + yi * xj)
-            if r > worst:           # else r / max(1, d) <= r <= worst
-                d = mi * mj
-                if d > 1.0:
-                    r /= d
-                if r > worst:
-                    worst = r
+    worst = low = 0.0                   # low = -worst
+    for (xi, yi, mi), (xj, yj, mj) in combinations(rel, 2):
+        # Im(r_i conj(r_j)), up to its sign, in Python's complex product
+        r = yi * xj - xi * yj
+        if r > worst or r < low:        # else r / max(1, d) <= |r| <= worst
+            r, d = abs(r), mi * mj
+            if d > 1.0:
+                r /= d
+            if r > worst:
+                worst, low = r, -r
     return worst
 
 
@@ -264,10 +281,13 @@ def family_report(a: complex, b: complex
     points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
               "a_end": cfg.a_end, "b_end": cfg.b_end}
     statuses = dict.fromkeys([*points, *_NAMES], "ok")
-    re, mab, m1, a2, b2, ab2, H, num = _moduli(a, b)
-    values = [*_line_family(re, mab, m1, a2, b2, ab2, H), hyperbolic_midpoint(a, b),
-              *_chordal_family(mab, m1, a2, b2, H), *_pq_family(mab, m1, a2, b2, num), H]
-    for name, value in zip(_NAMES, values):
+    re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
+    values = []
+    _line_family(re, mab, m1, a2, b2, ab2, H, values)
+    values.append(midpoint_from_moduli(H, a2, b2, m1))
+    _chordal_family(mab, m1, a2, b2, H, values)
+    _pq_family(mab, m1, a2, b2, _conj_q(a, b, mab, m1, a2), values)
+    for name, value in zip(_NAMES, [*values, H]):
         if isinstance(value, (DegenerateDenominator, NearBoundary)):
             statuses[name] = f"degenerate: {value}"
         elif isinstance(value, GeometryError):
@@ -284,15 +304,18 @@ def h_family(a: complex, b: complex) -> tuple[list[complex], tuple]:
     raising the first degeneracy among them, and the _moduli values they
     were computed from."""
     _check_pair(a, b)
-    moduli = re, mab, m1, a2, b2, ab2, H, _ = _moduli(a, b)
-    return ([*_raised(_line_family(re, mab, m1, a2, b2, ab2, H)),
-             hyperbolic_midpoint(a, b),
-             *_raised(_chordal_family(mab, m1, a2, b2, H))], moduli)
+    moduli = re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
+    points = []
+    error = _line_family(re, mab, m1, a2, b2, ab2, H, points)
+    points.append(midpoint_from_moduli(H, a2, b2, m1))
+    if error := error or _chordal_family(mab, m1, a2, b2, H, points):
+        raise error
+    return points, moduli
 
 
 def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     """Full point family for (a, b) plus the collinearity residual of the
     eleven H-direction points with the origin."""
-    points, (_, mab, m1, a2, b2, _, H, num) = h_family(a, b)
-    return (PointFamily(*points, *_raised(_pq_family(mab, m1, a2, b2, num)), H),
-            collinearity_residual([0j, *points]))
+    points, (_, mab, m1, a2, b2, _, H) = h_family(a, b)
+    pq = _points(_pq_family, mab, m1, a2, b2, _conj_q(a, b, mab, m1, a2))
+    return PointFamily(*points, *pq, H), collinearity_residual([0j, *points])

@@ -18,10 +18,6 @@ class ParallelLines(GeometryError):
     """The two lines do not meet (intersection denominator vanished)."""
 
 
-class DegenerateModuli(GeometryError):
-    """A closed-form denominator |a| = |b| or |a||b| = 1 vanished."""
-
-
 class CollinearWithOrigin(GeometryError):
     """The point pair lies on a line through the origin."""
 

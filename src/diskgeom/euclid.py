@@ -20,7 +20,6 @@ from .errors import (
     CollinearPoints,
     ConcentricCircles,
     DegenerateInput,
-    DegenerateModuli,
     NoRealIntersection,
     ParallelLines,
 )
@@ -114,34 +113,6 @@ def line_intersection(a: complex, b: complex, c: complex, d: complex) -> complex
     if abs(den) <= DEGENERACY_TOL * max(1.0, abs(a), abs(b), abs(c), abs(d)):
         raise ParallelLines(f"lines through {a},{b} and {c},{d} are parallel")
     return num / den
-
-
-def lis_inverse_pairs(case: int, a: complex, b: complex) -> complex:
-    """Closed forms for line intersections with the inverse-point pairs.
-
-    case 1: lines (a,b) and (-1/conj(a), -1/conj(b)); needs |a| != |b|
-    case 2: lines (a,b) and (1/conj(a), 1/conj(b));   needs |a| != |b|
-    case 3: lines (a,1/conj(b)) and (b,1/conj(a));    needs |a||b| != 1
-    case 4: lines (a,-1/conj(b)) and (b,-1/conj(a));  needs |a||b| != 1
-    """
-    if case not in (1, 2, 3, 4):
-        raise ValueError(f"case must be 1..4, got {case}")
-    if a == 0 or b == 0:
-        raise DegenerateInput("a and b must be nonzero")
-    a2, b2 = abs(a) ** 2, abs(b) ** 2
-    if case in (1, 2):
-        den = a2 - b2
-        if abs(den) <= DEGENERACY_TOL * scale_of(a, b):
-            raise DegenerateModuli("|a| == |b|")
-        if case == 1:
-            return (b * (1 + a2) - a * (1 + b2)) / den
-        return (a * (1 - b2) - b * (1 - a2)) / den
-    den = 1 - a2 * b2
-    if abs(den) <= DEGENERACY_TOL * scale_of(a, b):
-        raise DegenerateModuli("|a||b| == 1")
-    if case == 3:
-        return (a * (1 - b2) + b * (1 - a2)) / den
-    return (a * (1 + b2) + b * (1 + a2)) / den
 
 
 def circumcenter(a: complex, b: complex, c: complex) -> complex:

@@ -103,6 +103,11 @@ def hyperbolic_line(a: complex, b: complex) -> Geodesic:
     return Geodesic(GenCircle.through(a, b, +1), a, b)
 
 
+def midpoint_from_moduli(H: complex, a2: float, b2: float, m1: float) -> complex:
+    """Midpoint of disk points a != b from H, |a|^2, |b|^2 and m1 = |1 - a conj(b)|."""
+    return H / (1 - a2 * b2 + m1 * math.sqrt((1 - a2) * (1 - b2)))
+
+
 def hyperbolic_midpoint(x: complex, y: complex) -> complex:
     """The point m on the geodesic through x, y with rho(x,m) = rho(y,m)."""
     if abs(x) >= 1 or abs(y) >= 1:
@@ -110,8 +115,7 @@ def hyperbolic_midpoint(x: complex, y: complex) -> complex:
     if x == y:
         return x
     x2, y2 = abs(x) ** 2, abs(y) ** 2
-    den = 1 - x2 * y2 + ahlfors_bracket(x, y) * math.sqrt((1 - x2) * (1 - y2))
-    return (y * (1 - x2) + x * (1 - y2)) / den
+    return midpoint_from_moduli(y * (1 - x2) + x * (1 - y2), x2, y2, ahlfors_bracket(x, y))
 
 
 def check_cyclic_order(points: tuple[complex, ...]) -> None:

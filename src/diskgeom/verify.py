@@ -410,16 +410,14 @@ def _residual_five_points_chordal(sample: Sequence[complex]) -> float:
 
 
 def _residual_eleven_points(sample: Sequence[complex]) -> float:
-    """eleven_points(a, b)[1] without the p/q family, which it does not read.
+    """eleven_points(a, b)[1] without p/q or conj(Q), which it does not read.
 
-    Dropping p/q changes no skip count: _pq_family can only refuse p or q, and
-    inside default_spec's disk_pair margins (0.05 <= |a|, |b| <= 0.95) neither
-    denominator comes near _DENOM_TOL = 1e-12.  Since |1 - a conj(b)|^2 -
-    |a - b|^2 = (1 - |a|^2)(1 - |b|^2) > 0, |1 - a conj(b)| - |a - b| > 0, so
-    p's denominator is >= (1 - |a|^2)^2 >= 9.5e-3 and q's is
-    >= |b|^2 (1 - |a|^2)^2 >= 2.4e-5.  And Q = b(1 - |a|^2)^2 plus a real
-    multiple of a is not 0, because a, b are not collinear with 0 (else
-    _check_pair refuses them), so p_c and q_c divide by no zero."""
+    That changes no skip count: only p's and q's denominators can refuse.  As
+    |1 - a conj(b)|^2 - |a - b|^2 = (1 - |a|^2)(1 - |b|^2) > 0, inside
+    default_spec's disk_pair margins (0.05 <= |a|, |b| <= 0.95) they are
+    >= (1 - |a|^2)^2 >= 9.5e-3 and >= |b|^2 (1 - |a|^2)^2 >= 2.4e-5, far from
+    _DENOM_TOL = 1e-12.  Q = b(1 - |a|^2)^2 plus a real multiple of a is not 0
+    for a, b not collinear with 0 (_check_pair): p_c, q_c divide by no zero."""
     a, b = sample
     return collinearity_residual([0j, *h_family(a, b)[0]])
 

@@ -65,6 +65,22 @@ def test_points_invalid_literal_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-0.4+0.1i", "-0.4-0.1i", "-0.4@1"])
+@pytest.mark.parametrize("option", ["--a", "--b"])
+def test_points_takes_a_value_that_starts_with_a_minus_after_a_space(capsys, option, value):
+    other = "--b" if option == "--a" else "--a"
+    assert main(["points", other, "0.5", f"{option}={value}"]) == 0
+    bound = capsys.readouterr().out
+    assert main(["points", other, "0.5", option, value]) == 0
+    assert capsys.readouterr().out == bound
+
+
+def test_points_value_after_a_space_that_does_not_parse_exits_2(capsys):
+    assert main(["points", "--a", "0.5", "--b", "-0.4+x"]) == 2
+    assert capsys.readouterr().err == \
+        "error: ValueError: cannot parse complex literal '-0.4+x'\n"
+
+
 def test_points_degenerate_configuration_exits_2(capsys):
     # collinear with the origin is a validation error, not a crash
     assert main(["points", "--a", "0.5", "--b", "-0.25"]) == 2

@@ -351,6 +351,64 @@ def test_collinearity_residual_equals_its_pairwise_definition(points):
     assert collinearity_residual(points) == _pairwise_residual(points)
 
 
+def _previous_residual(points):
+    """collinearity_residual's pair scan as it was before the signed test."""
+    if len(points) < 2:
+        raise ValueError("need at least two points")
+    if not all(map(cmath.isfinite, points)):
+        return math.nan
+    anchor = points[0]
+    rel = [(r.real, r.imag, abs(r)) for r in [z - anchor for z in points[1:]]]
+    worst = 0.0
+    for i, (xi, yi, mi) in enumerate(rel):
+        for xj, yj, mj in rel[i + 1:]:
+            r = abs(xi * -yj + yi * xj)
+            if r > worst:
+                d = mi * mj
+                if d > 1.0:
+                    r /= d
+                if r > worst:
+                    worst = r
+    return worst
+
+
+def _any_points(rng):
+    """2-12 points with signed zeros, small integers and coordinates up to
+    1e308, so that differences and products overflow; in one list of six,
+    one point has a NaN or inf coordinate."""
+    def coord():
+        kind = rng.random()
+        if kind < 0.3:
+            return rng.choice((0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 1.7e308))
+        if kind < 0.5:
+            return float(rng.randint(-3, 3))
+        return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 308)
+
+    points = [complex(coord(), coord()) for _ in range(rng.randint(2, 12))]
+    if rng.random() < 1 / 6:
+        points[rng.randrange(len(points))] = complex(
+            coord(), rng.choice((math.nan, math.inf, -math.inf)))
+    return points
+
+
+def test_collinearity_residual_is_the_previous_scan_bit_for_bit():
+    # NaN pairs (inf - inf) are skipped and NaN points give NaN in both; abs
+    # of a difference beyond the float range raises OverflowError in both
+    def outcome(fn, points):
+        try:
+            return repr(fn(points))
+        except OverflowError as exc:
+            return repr(exc)
+
+    rng, seen = random.Random(20260823), set()
+    for _ in range(20_000):
+        points = _any_points(rng)
+        got = outcome(collinearity_residual, points)
+        assert got == outcome(_previous_residual, points), points
+        seen.add(got if got in ("nan", "0.0") or "Error" in got else "positive")
+    assert seen == {"nan", "0.0", "positive", "OverflowError('absolute value too large')"}
+
+
 @pytest.mark.parametrize("points", [[], [0.5j]])
 def test_collinearity_residual_needs_two_points(points):
     with pytest.raises(ValueError):
@@ -550,6 +608,56 @@ def test_kernels_match_the_closed_form_table_they_replaced():
     assert {"value", CollinearWithOrigin, DegenerateDenominator, NearBoundary} <= kinds
 
 
+def test_near_pairs_refuse_several_h_points_at_once():
+    # a pair that refuses points of both the line and the great-circle
+    # kernels is what makes the comparisons above check which error is first
+    refused = []
+    for a, b in _regular_and_near_pairs():
+        try:
+            statuses = family_report(a, b)[1]
+        except GeometryError:
+            continue
+        refused.append({n for n in _OLD_H_FAMILY if statuses[n] != "ok"})
+    assert sum(len(names) >= 2 for names in refused) >= 20
+    assert any({"k", "k_c"} <= names for names in refused)
+
+
+def _one_midpoint_and_one_h(a, b):
+    """Check m and H of family_report, and of eleven_points unless it refuses
+    the pair, against hyperbolic_midpoint and h_vector bit for bit; return
+    whether eleven_points returned."""
+    points = family_report(a, b)[0]
+    assert repr(hyperbolic_midpoint(a, b)) == repr(points["m"]), (a, b)
+    assert repr(h_vector(a, b)) == repr(points["H"]), (a, b)
+    try:
+        fam = eleven_points(a, b)[0]
+    except GeometryError:
+        return False
+    assert (repr(fam.m), repr(fam.H)) == (repr(points["m"]), repr(points["H"])), (a, b)
+    return True
+
+
+def test_midpoint_and_h_are_the_kernels_own_on_regular_and_near_pairs():
+    returned = []
+    for a, b in _regular_and_near_pairs():
+        try:
+            build_config(a, b)
+        except GeometryError:
+            continue
+        returned.append(_one_midpoint_and_one_h(a, b))
+    assert returned.count(True) >= 400 and returned.count(False) >= 20
+
+
+@given(st.tuples(polar_points(0.0, 0.999999), polar_points(0.0, 0.999999)))
+def test_midpoint_and_h_are_the_kernels_own(pts):
+    a, b = pts
+    try:
+        build_config(a, b)
+    except GeometryError:
+        assume(False)
+    _one_midpoint_and_one_h(a, b)
+
+
 def test_each_closed_form_is_written_once():
     sources = "".join(path.read_text(encoding="utf-8")
                       for path in Path(configurations.__file__).parent.glob("*.py"))
@@ -560,6 +668,7 @@ def test_each_closed_form_is_written_once():
                     "b2 * (1 - a2) ** 2 + mab * (m1 - mab)",      # q's denominator
                     "(1 - a2) * m1 * (mab - m1)",                 # p_c's, q_c's R
                     "sign * math.sqrt(R ** 2 + H2)",              # great-circle root
+                    "1 - a2 * b2 + m1 * math.sqrt((1 - a2) * (1 - b2))",  # m's denominator
                     "line_intersection(g, h, a, c)"):             # conjecture point j
         assert sources.count(formula) == 1, formula
 

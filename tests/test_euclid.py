@@ -12,7 +12,6 @@ from diskgeom.errors import (
     CollinearPoints,
     ConcentricCircles,
     DegenerateInput,
-    DegenerateModuli,
     ParallelLines,
 )
 from diskgeom.euclid import (
@@ -23,7 +22,6 @@ from diskgeom.euclid import (
     gencircle_intersection,
     in_disk_point,
     line_intersection,
-    lis_inverse_pairs,
     orthocenter,
     scale_of,
 )
@@ -122,49 +120,6 @@ def test_line_intersection_lies_on_both_lines(pts):
     sc = scale_of(a, b, c, d, z) ** 2
     assert GenCircle.line(a, b).residual(z) <= 1e-10 * sc
     assert GenCircle.line(c, d).residual(z) <= 1e-10 * sc
-
-
-# ---------------------------------------------------------------------------
-# closed forms for inverse-point pairs
-
-
-def test_lis_inverse_pairs_frozen_values():
-    a, b = 0.5 + 0j, 0.25j
-    assert lis_inverse_pairs(1, a, b) == pytest.approx(
-        -2.8333333333333335 + 1.6666666666666667j, abs=EXACT_TOL)
-    assert lis_inverse_pairs(2, a, b) == pytest.approx(2.5 - 1j, abs=EXACT_TOL)
-    assert lis_inverse_pairs(3, a, b) == pytest.approx(
-        0.47619047619047616 + 0.19047619047619047j, abs=EXACT_TOL)
-    assert lis_inverse_pairs(4, a, b) == pytest.approx(
-        0.5396825396825397 + 0.31746031746031744j, abs=EXACT_TOL)
-
-
-@given(st.tuples(polar_points(), polar_points()))
-def test_lis_inverse_pairs_match_synthetic_intersections(pts):
-    a, b = pts
-    assume(well_separated(a, b))
-    assume(abs(abs(a) - abs(b)) > 0.02)
-    assume(abs(abs(a) * abs(b) - 1) > 0.02)
-    ca, cb = 1 / a.conjugate(), 1 / b.conjugate()
-    expected = {
-        1: line_intersection(a, b, -ca, -cb),
-        2: line_intersection(a, b, ca, cb),
-        3: line_intersection(a, cb, b, ca),
-        4: line_intersection(a, -cb, b, -ca),
-    }
-    for case, want in expected.items():
-        got = lis_inverse_pairs(case, a, b)
-        assert abs(got - want) <= 1e-9 * scale_of(got, want)
-
-
-def test_lis_inverse_pairs_equal_moduli_raises():
-    with pytest.raises(DegenerateModuli):
-        lis_inverse_pairs(1, 0.5 + 0j, 0.5j)
-
-
-def test_lis_inverse_pairs_bad_case_raises():
-    with pytest.raises(ValueError):
-        lis_inverse_pairs(5, 0.5 + 0j, 0.25j)
 
 
 # ---------------------------------------------------------------------------
