@@ -17,7 +17,6 @@ from .euclid import (
 )
 from .hyperbolic import (
     Geodesic,
-    absolute_ratio,
     chord_vs_geodesic_midpoint,
     geodesic_endpoints,
     geodesic_intersection_on_circle,
@@ -34,7 +33,6 @@ from .spherical import (
     antipodal,
     chordal_distance,
     chordal_midpoint,
-    from_sphere,
     gcis,
     great_circle_projection,
     orthogonal_great_circle,
@@ -56,12 +54,12 @@ __version__ = "1.0.0"
 __all__ = [
     "GeometryError",
     "GenCircle", "circumcenter", "line_intersection", "orthocenter",
-    "Geodesic", "absolute_ratio", "chord_vs_geodesic_midpoint",
+    "Geodesic", "chord_vs_geodesic_midpoint",
     "geodesic_endpoints", "geodesic_intersection_on_circle",
     "hyperbolic_line", "hyperbolic_midpoint", "midpoint_via_inversion",
     "midpoint_via_lens", "mobius_T", "rho",
     "INFINITY", "SpherePoint", "antipodal", "chordal_distance",
-    "chordal_midpoint", "from_sphere", "gcis", "great_circle_projection",
+    "chordal_midpoint", "gcis", "great_circle_projection",
     "orthogonal_great_circle", "to_sphere",
     "DiskConfig", "PointFamily", "build_config", "collinearity_residual",
     "eleven_points", "family_report", "h_vector",

@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or validation error.  Complex literals accept R, A+Bi, A-Bi, and
-polar R@T with T in radians.  The DISKGEOM_TOL environment variable
-overrides the default verification tolerance.
+polar R@T with T in radians.  verify's --tol is the one override of a
+check's default tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import re
 import sys
 
@@ -56,13 +55,6 @@ def parse_complex(text: str) -> complex:
     return complex(real, 0.0)
 
 
-def _default_tol(fallback: float | None = None) -> float | None:
-    env = os.environ.get("DISKGEOM_TOL")
-    if env:
-        return float(env)
-    return fallback
-
-
 def cmd_points(args: argparse.Namespace) -> int:
     try:
         a = parse_complex(args.a)
@@ -96,11 +88,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: unknown theorem id(s) {unknown}; "
               f"known: {', '.join(CHECKS)} or 'all'", file=sys.stderr)
         return 2
-    tol = _default_tol(args.tol)
     reports = []
     all_passed = True
     for tid in ids:
-        report = run_check(tid, default_spec(tid, args.samples, args.seed), tol)
+        report = run_check(tid, default_spec(tid, args.samples, args.seed), args.tol)
         reports.append(report.to_dict())
         flag = "PASS" if report.passed else "FAIL"
         print(f"{flag} {tid}: max_residual={report.max_residual:.3e} "

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .euclid import line_intersection
 from .hyperbolic import geodesic_endpoints, midpoint_from_moduli
-from .spherical import GcisQuadratic, gcis, gcis_roots, quadratic_error, quadratic_root
+from .spherical import gcis, gcis_roots, quadratic_error, quadratic_root
 
 _DENOM_TOL = 1e-12
 
@@ -87,7 +87,7 @@ def _check_pair(a: complex, b: complex) -> None:
     not collinear with the origin."""
     if a == 0 or b == 0:
         raise ZeroPoint("a and b must be nonzero")
-    if abs(a) >= 1 or abs(b) >= 1:
+    if not (abs(a) < 1 and abs(b) < 1):         # a NaN coordinate fails too
         raise OutsideDisk("a and b must lie in the open unit disk")
     if a == b:
         raise CoincidentPoints("a and b must be distinct")
@@ -200,15 +200,6 @@ def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
     return _points(_line_family, *_moduli(cfg.a, cfg.b))
-
-
-def chordal_quadratics(cfg: DiskConfig) -> dict[str, GcisQuadratic]:
-    """Quadratic conj(H) z^2 + 2Rz - H = 0 for each great-circle point."""
-    _, mab, m1, a2, b2, _, H = _moduli(cfg.a, cfg.b)
-    Rs = _chordal_R(mab, m1, a2, b2)
-    if isinstance(Rs[0], GeometryError):        # k_c and v_c are refused together
-        raise Rs[0]
-    return dict(zip(("kc", "sc", "tc", "uc", "vc"), [GcisQuadratic(H, R) for R in Rs]))
 
 
 def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"

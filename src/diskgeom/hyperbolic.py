@@ -27,7 +27,7 @@ from .euclid import (
     line_intersection,
 )
 from . import euclid
-from .spherical import chordal_distance, great_circle_projection, is_infinity
+from .spherical import great_circle_projection
 
 UNIT_CIRCLE = GenCircle.circle(0j, 1.0)
 
@@ -53,18 +53,6 @@ def mobius_T(a: complex, z: complex) -> complex:
     if abs(den) <= 1e-15:
         raise PoleHit("z is the pole of T_a")
     return (z - a) / den
-
-
-def absolute_ratio(a: complex, b: complex, c: complex, d: complex) -> float:
-    """Moebius-invariant four-point ratio q(a,c)q(b,d) / (q(a,b)q(c,d));
-    computed with the chordal metric so infinity is admissible."""
-    pts = (a, b, c, d)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if pts[i] == pts[j] or (is_infinity(pts[i]) and is_infinity(pts[j])):
-                raise CoincidentPoints("absolute ratio needs four distinct points")
-    return (chordal_distance(a, c) * chordal_distance(b, d)) \
-        / (chordal_distance(a, b) * chordal_distance(c, d))
 
 
 def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:

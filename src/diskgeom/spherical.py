@@ -37,9 +37,6 @@ class SpherePoint:
     eta: float
     zeta: float
 
-    def sphere_residual(self) -> float:
-        return abs(self.xi ** 2 + self.eta ** 2 + (self.zeta - 0.5) ** 2 - 0.25)
-
     def distance(self, other: "SpherePoint") -> float:
         return math.sqrt((self.xi - other.xi) ** 2 + (self.eta - other.eta) ** 2
                          + (self.zeta - other.zeta) ** 2)
@@ -51,13 +48,6 @@ def to_sphere(z: complex) -> SpherePoint:
         return SpherePoint(0.0, 0.0, 1.0)
     d = 1 + abs(z) ** 2
     return SpherePoint(z.real / d, z.imag / d, abs(z) ** 2 / d)
-
-
-def from_sphere(p: SpherePoint) -> complex:
-    """Inverse stereographic projection (north pole -> INFINITY)."""
-    if 1 - p.zeta <= 1e-15:
-        return INFINITY
-    return complex(p.xi / (1 - p.zeta), p.eta / (1 - p.zeta))
 
 
 def chordal_distance(x: complex, y: complex) -> float:
@@ -126,7 +116,8 @@ def _tiebreak_reference(a: complex, b: complex, c: complex, d: complex) -> compl
 
 def gencircle_from_pair_intersection(a: complex, b: complex, c: complex,
                                      d: complex) -> complex:
-    """The same point as gcis; the name is kept for perfbench/tracer.py."""
+    """The same point as gcis.  Held only because perfbench/tracer.py traces
+    this name; ROADMAP item 6's benchmark change removes it."""
     return gcis(a, b, c, d)
 
 
@@ -137,36 +128,22 @@ def quadratic_error(H: complex, R: float) -> GeometryError | None:
     return None if math.isfinite(R) else NearBoundary("R is not finite")
 
 
-def quadratic_root(H: complex, H2: float, R: float, sign: float | None = None) -> complex:
-    """Root (-R + sign sqrt(R^2 + H2)) / H2 * H of conj(H) z^2 + 2 R z - H = 0,
-    H2 = |H|^2, sign = +-1; by default the root in the closed disk, the + root
-    for R >= 0 (|z| = 1 iff R == 0, where it is the positive multiple of H)."""
-    if sign is None:
-        sign = 1.0 if R >= 0 else -1.0
+def quadratic_root(H: complex, H2: float, R: float) -> complex:
+    """Root (-R + sign sqrt(R^2 + H2)) / H2 * H of conj(H) z^2 + 2 R z - H = 0
+    in the closed disk, H2 = |H|^2: the + root for R >= 0 (|z| = 1 iff R == 0,
+    where it is the positive multiple of H).  The other root is -1/conj(z)."""
+    sign = 1.0 if R >= 0 else -1.0
     return (-R + sign * math.sqrt(R ** 2 + H2)) / H2 * H
 
 
-@dataclass(frozen=True)
-class GcisQuadratic:
-    """Coefficients of conj(H) z^2 + 2 R z - H = 0 with H != 0, R real."""
-
-    H: complex
-    R: float
-
-    def __post_init__(self) -> None:
-        error = quadratic_error(self.H, self.R)
-        if error is not None:
-            raise error
-
-    def roots(self) -> tuple[complex, complex]:
-        """Both roots, as real multiples of H; moduli multiply to 1."""
-        H, H2, R = self.H, abs(self.H) ** 2, self.R
-        return quadratic_root(H, H2, R, 1.0), quadratic_root(H, H2, R, -1.0)
-
-
-def gcis_quadratic_solve(qd: GcisQuadratic) -> complex:
-    """Root of the quadratic inside the closed disk (quadratic_root)."""
-    return quadratic_root(qd.H, abs(qd.H) ** 2, qd.R)
+def gcis_quadratic_solve(H: complex, R: float) -> complex:
+    """quadratic_root with its refusals (quadratic_error).  Held only because
+    perfbench/tracer.py traces this name; ROADMAP item 6's benchmark change
+    removes it."""
+    error = quadratic_error(H, R)
+    if error is not None:
+        raise error
+    return quadratic_root(H, abs(H) ** 2, R)
 
 
 def chordal_midpoint(a: complex, b: complex) -> complex:

@@ -50,7 +50,6 @@ from .hyperbolic import (
 from .spherical import (
     chordal_distance,
     chordal_midpoint,
-    gcis,
     great_circle_projection,
     orthogonal_great_circle,
     to_sphere,

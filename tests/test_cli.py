@@ -118,10 +118,11 @@ def test_verify_impossible_tolerance_exits_1(capsys):
 
 
 def test_verify_env_tolerance_override(capsys, monkeypatch):
+    # DISKGEOM_TOL no longer overrides anything: --tol is the one override
+    argv = ["verify", "--theorem", "eleven_points", "--samples", "20", "--seed", "3"]
     monkeypatch.setenv("DISKGEOM_TOL", "1e-30")
-    code = main(["verify", "--theorem", "eleven_points", "--samples", "20",
-                 "--seed", "3"])
-    assert code == 1
+    assert main(argv) == 0
+    assert main([*argv, "--tol", "1e-30"]) == 1
 
 
 def test_verify_writes_report_file(tmp_path, capsys):

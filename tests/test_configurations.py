@@ -22,7 +22,6 @@ from diskgeom import configurations
 from diskgeom.configurations import (
     PointFamily,
     build_config,
-    chordal_quadratics,
     collinearity_residual,
     eleven_points,
     family_report,
@@ -56,6 +55,15 @@ def test_build_config_rejects_zero():
 def test_build_config_rejects_exterior_point():
     with pytest.raises(OutsideDisk):
         build_config(0.5 + 0j, 1.5j)
+
+
+@pytest.mark.parametrize("fn", [build_config, eleven_points, family_report])
+@pytest.mark.parametrize("nan", [complex(math.nan, 0.3), complex(0.3, math.nan)])
+@pytest.mark.parametrize("swap", [False, True])
+def test_nan_coordinate_is_refused_as_outside_disk(fn, nan, swap):
+    a, b = (0.5j, nan) if swap else (nan, 0.5j)
+    with pytest.raises(OutsideDisk):
+        fn(a, b)
 
 
 def test_build_config_rejects_equal_points():
@@ -158,15 +166,6 @@ def test_chordal_family_reference_values():
     assert abs(abs(uc) - 1) <= IDENTITY_TOL
     assert abs(vc + kc) <= IDENTITY_TOL
     assert abs(tc + sc) <= IDENTITY_TOL
-
-
-def test_chordal_quadratics_R_signs():
-    cfg = build_config(0.5 + 0j, 0.6 * cmath.exp(1j))
-    quads = chordal_quadratics(cfg)
-    assert quads["uc"].R == 0.0
-    assert quads["sc"].R > 0 and quads["tc"].R < 0
-    assert quads["kc"].R < 0 and quads["vc"].R > 0
-    assert abs(quads["kc"].R + quads["vc"].R) <= 1e-12 * abs(quads["vc"].R)
 
 
 @given(st.tuples(polar_points(), polar_points()))
@@ -536,7 +535,6 @@ def _old_family_report(a, b):
 def _old_family_paths(cfg):
     return {
         "five_points_euclid": lambda: _old_entries(cfg, ("k", "s", "t", "u", "v")),
-        "chordal_quadratics": lambda: [q[1:] for q in _old_entries(cfg, _OLD_CHORDAL)],
         "five_points_chordal": lambda: tuple(
             _old_solved(q) for q in _old_entries(cfg, _OLD_CHORDAL)),
         "pq_family": lambda: _old_entries(cfg, ("p", "q", "p_c", "q_c")),
@@ -546,8 +544,6 @@ def _old_family_paths(cfg):
 def _new_family_paths(cfg):
     return {
         "five_points_euclid": lambda: five_points_euclid(cfg),
-        "chordal_quadratics": lambda: [(q.H, q.R)
-                                       for q in chordal_quadratics(cfg).values()],
         "five_points_chordal": lambda: five_points_chordal(cfg),
         "pq_family": lambda: pq_family(cfg),
     }

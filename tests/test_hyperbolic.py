@@ -13,7 +13,6 @@ from diskgeom.errors import (
     OutsideDisk,
 )
 from diskgeom.hyperbolic import (
-    absolute_ratio,
     ahlfors_bracket,
     check_cyclic_order,
     chord_vs_geodesic_midpoint,
@@ -26,7 +25,6 @@ from diskgeom.hyperbolic import (
     mobius_T,
     rho,
 )
-from diskgeom.spherical import INFINITY, chordal_distance
 
 from conftest import polar_points, unit_circle_points, well_separated
 
@@ -78,39 +76,6 @@ def test_rho_from_ahlfors_bracket():
     x, y = 0.3 + 0.2j, -0.4 + 0.1j
     assert rho(x, y) == pytest.approx(
         2 * math.atanh(abs(x - y) / ahlfors_bracket(x, y)), abs=EXACT_TOL)
-
-
-# ---------------------------------------------------------------------------
-# absolute ratio
-
-
-def test_absolute_ratio_with_infinity():
-    # q(x, inf) = 1/sqrt(1+|x|^2) enters the ratio without special casing
-    val = absolute_ratio(0j, 1 + 0j, INFINITY, 1j)
-    expect = (chordal_distance(0j, INFINITY) * chordal_distance(1 + 0j, 1j)) \
-        / (chordal_distance(0j, 1 + 0j) * chordal_distance(INFINITY, 1j))
-    assert val == pytest.approx(expect, abs=EXACT_TOL)
-
-
-@given(st.tuples(polar_points(0.0, 0.9), polar_points(0.05, 2.0),
-                 polar_points(0.05, 2.0), polar_points(0.05, 2.0),
-                 polar_points(0.05, 2.0)))
-def test_absolute_ratio_mobius_invariant(pts):
-    w, a, b, c, d = pts
-    assume(min(abs(a - b), abs(a - c), abs(a - d), abs(b - c), abs(b - d),
-               abs(c - d)) > 0.05)
-    try:
-        images = [mobius_T(w, z) for z in (a, b, c, d)]
-    except Exception:
-        assume(False)
-    before = absolute_ratio(a, b, c, d)
-    after = absolute_ratio(*images)
-    assert after == pytest.approx(before, rel=1e-9)
-
-
-def test_absolute_ratio_coincident_raises():
-    with pytest.raises(CoincidentPoints):
-        absolute_ratio(1j, 1j, 0j, 1 + 0j)
 
 
 # ---------------------------------------------------------------------------

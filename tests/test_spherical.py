@@ -15,11 +15,9 @@ from diskgeom.errors import (
 )
 from diskgeom.spherical import (
     INFINITY,
-    GcisQuadratic,
     antipodal,
     chordal_distance,
     chordal_midpoint,
-    from_sphere,
     gcis,
     gcis_quadratic_solve,
     gcis_roots,
@@ -52,13 +50,9 @@ def test_to_sphere_landmarks():
 @given(polar_points(0.0, 5.0))
 def test_projection_round_trip_and_on_sphere(z):
     p = to_sphere(z)
-    assert p.sphere_residual() <= EXACT_TOL
-    back = from_sphere(p)
+    assert abs(p.xi ** 2 + p.eta ** 2 + (p.zeta - 0.5) ** 2 - 0.25) <= EXACT_TOL
+    back = complex(p.xi, p.eta) / (1 - p.zeta)      # inverse projection
     assert abs(back - z) <= 1e-9 * max(1.0, abs(z) ** 2)
-
-
-def test_from_sphere_north_pole_is_infinity():
-    assert is_infinity(from_sphere(to_sphere(INFINITY)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +185,18 @@ def test_gcis_coincident_great_circles_raise():
 
 
 def test_gcis_quadratic_roots_structure():
-    qd = GcisQuadratic(H=0.6 + 0.8j, R=0.37)
-    zp, zm = qd.roots()
-    # both roots satisfy conj(H) z^2 + 2 R z - H = 0
-    for z in (zp, zm):
-        res = qd.H.conjugate() * z * z + 2 * qd.R * z - qd.H
-        assert abs(res) <= 1e-12
-    assert abs(zp) * abs(zm) == pytest.approx(1.0, abs=1e-12)
-    assert abs(zp) < 1 < abs(zm)
-    assert gcis_quadratic_solve(qd) == zp
+    H, R = 0.6 + 0.8j, 0.37
+    z = gcis_quadratic_solve(H, R)
+    # z solves conj(H) z^2 + 2 R z - H = 0, inside the disk
+    assert abs(H.conjugate() * z * z + 2 * R * z - H) <= 1e-12
+    assert abs(z) < 1
 
 
 def test_gcis_quadratic_zero_R_gives_unit_root():
-    qd = GcisQuadratic(H=0.6 + 0.8j, R=0.0)
-    z = gcis_quadratic_solve(qd)
+    H = 0.6 + 0.8j
+    z = gcis_quadratic_solve(H, 0.0)
     assert abs(z) == pytest.approx(1.0, abs=1e-12)
-    assert z == pytest.approx(qd.H / abs(qd.H), abs=1e-12)
+    assert z == pytest.approx(H / abs(H), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
