@@ -30,7 +30,13 @@ from .figures import (
     format_complex,
 )
 from .hyperbolic import conjecture_points
-from .verify import CHECKS, conjecture_inputs, default_spec, run_check
+from .verify import (
+    CHECKS,
+    conjecture_inputs,
+    default_spec,
+    run_check,
+    sample_circle_quadruple,
+)
 
 _COMPLEX_RE = re.compile(
     r"""^\s*(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
@@ -81,13 +87,21 @@ def cmd_points(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     ids = list(CHECKS) if args.theorem == "all" else [args.theorem]
     unknown = [t for t in ids if t not in CHECKS]
     if unknown:
-        print(f"error: unknown theorem id(s) {unknown}; "
-              f"known: {', '.join(CHECKS)} or 'all'", file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown theorem id(s) {unknown}; "
+                            f"known: {', '.join(CHECKS)} or 'all'")
+    if args.samples < 1:
+        return _usage_error(f"--samples must be >= 1, got {args.samples}")
+    if args.tol is not None and not args.tol >= 0:
+        return _usage_error(f"--tol must be >= 0, got {args.tol}")
     reports = []
     all_passed = True
     for tid in ids:
@@ -105,12 +119,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        return _usage_error(f"--samples must be >= 1, got {args.samples}")
     spec = default_spec("conjecture", args.samples, args.seed)
     report = run_check("conjecture", spec)
     doc = report.to_dict()
     if args.samples == 1:
         # echo the full derived configuration of the single sample
-        from .verify import sample_circle_quadruple
         inputs = conjecture_inputs(sample_circle_quadruple(spec, 0))
         doc["sample"] = {
             name: [z.real, z.imag] for name, z in
@@ -130,9 +145,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.id not in FIGURE_IDS:
-        print(f"error: unknown figure id {args.id}; valid: {FIGURE_IDS}",
-              file=sys.stderr)
-        return 2
+        return _usage_error(f"unknown figure id {args.id}; valid: {FIGURE_IDS}")
     fig = build_figure(args.id)
     text = figure_json(fig) if args.format == "json" else figure_svg(fig)
     if args.out:

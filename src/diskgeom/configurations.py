@@ -40,6 +40,7 @@ from .hyperbolic import geodesic_endpoints, midpoint_from_moduli
 from .spherical import gcis, gcis_roots, quadratic_error, quadratic_root
 
 _DENOM_TOL = 1e-12
+_FAR = 2.0 ** 510                  # collinearity_residual's NaN bound on |z|
 
 _H_FAMILY = ("k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c", "v_c")
 _NAMES = (*_H_FAMILY, "p", "q", "p_c", "q_c", "H")       # PointFamily order
@@ -237,12 +238,18 @@ def collinearity_residual(points: list[complex]) -> float:
 
     With r_i = z_i - z_0 for the other points, the residual is the max over
     pairs i < j of |Im(r_i conj(r_j))| / max(1, |r_i| |r_j|): zero for
-    exactly collinear points, dimensionless, and NaN when a point is NaN or
-    infinite.
+    exactly collinear points, dimensionless, and NaN when a point is NaN,
+    infinite or has |z| >= 2**510, past which |r_i| |r_j| can overflow.
     """
     if len(points) < 2:
         raise ValueError("need at least two points")
-    if not all(map(cmath.isfinite, points)):
+    # the sum of the moduli is NaN for a NaN point and at least their max;
+    # abs raises OverflowError for a finite point beyond the float range
+    try:
+        total = sum(map(abs, points))
+        if not total < _FAR and (math.isnan(total) or max(map(abs, points)) >= _FAR):
+            return math.nan
+    except OverflowError:
         return math.nan
     anchor = points[0]
     rel = [(r.real, r.imag, abs(r)) for r in [z - anchor for z in points[1:]]]

@@ -86,9 +86,5 @@ class UnknownTheorem(GeometryError):
     """The verification harness does not know this check id."""
 
 
-class SamplerMismatch(GeometryError):
-    """The check requires a different sampler than the one specified."""
-
-
 class SamplerStarvation(GeometryError):
     """More than 10% of requested samples were rejected as degenerate."""

@@ -7,7 +7,10 @@ with ``seed`` reads the counter-based Philox stream (Salmon et al.,
 ``Generator(Philox(key=seed & (2**64 - 1), counter=index << 128))``.
 Sample ``index`` therefore depends on (seed, index) alone, not on
 evaluation order, and each sample starts a block of 2**128 counter values
-of its own.  ``sample_*`` is the single-index form of each sampler;
+of its own.  Each sampler is one attempt function in ``_ATTEMPTS``, which
+reads a window of uniforms and accepts or rejects it; ``_retry``, the one
+retry loop, slides that window along the sample's stream until an attempt
+accepts.  ``sample_*`` is the single-index form of each sampler;
 ``run_check`` reads the same stream a chunk of samples at a time, drawing
 every sample's first attempt in one vectorized Philox pass and handing a
 sample whose first attempt is rejected to ``sample_*``, which replays it
@@ -31,7 +34,6 @@ from .errors import (
     GeometryError,
     OutsideDisk,
     PointOutsideDisk,
-    SamplerMismatch,
     SamplerStarvation,
     UnknownTheorem,
 )
@@ -66,23 +68,16 @@ from .configurations import (
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Sampler selection plus exclusion margins."""
+    """How many samples to draw, from which seed, and the least ||a| - |b||
+    of a disk pair."""
 
-    sampler: str
     count: int
     seed: int
-    min_radius: float = 0.05
-    boundary_margin: float = 0.05
-    min_angle: float = 0.05
-    min_gap: float = 0.1
     moduli_margin: float = 0.0
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        for name in ("min_radius", "boundary_margin", "min_angle", "min_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -173,30 +168,25 @@ def _first_uniforms(seed: int, begin: int, end: int, words: int
     return ((out[:, :words] >> 11) * 2.0 ** -53).tolist()
 
 
-def _retry(spec: SampleSpec, index: int, attempt: Callable, words: int,
-           name: str) -> tuple:
-    """Sample ``index``: ``attempt`` on one draw of ``words`` uniforms at a
-    time, until it accepts one."""
-    rng = _rng(spec, index)
-    for _ in range(1000):
-        sample = attempt(spec, rng.random(words).tolist())
-        if sample is not None:
-            return sample
-    raise SamplerStarvation(f"{name} rejection sampling did not converge")
+# The samplers' fixed margins: 0.05 <= |a|, |b| <= 0.95 for a disk pair and
+# a lens pair, angles >= 0.05 from collinear with 0 and from a lens corner,
+# and circle gaps >= 0.1.
+_MIN_RADIUS = 0.05
+_MAX_RADIUS = 1 - 0.05
+_MIN_ANGLE = 0.05
+_MIN_GAP = 0.1
 
 
 def _disk_pair_attempt(spec: SampleSpec, u: Sequence[float]
                        ) -> tuple[complex, complex] | None:
     """One disk_pair attempt on four uniforms; None when it is rejected."""
-    lo, hi = spec.min_radius, 1 - spec.boundary_margin
-    if hi < lo:
-        raise ValueError("min_radius and boundary_margin leave no radii")
     ua, ub, va, vb = u
     # lo + (hi - lo) u is numpy's uniform(lo, hi)
-    ra, rb = lo + (hi - lo) * ua, lo + (hi - lo) * ub
+    span = _MAX_RADIUS - _MIN_RADIUS
+    ra, rb = _MIN_RADIUS + span * ua, _MIN_RADIUS + span * ub
     ta, tb = 2 * math.pi * va, 2 * math.pi * vb
     gap = abs(math.remainder(ta - tb, math.pi))
-    if gap < spec.min_angle or math.pi - gap < spec.min_angle:
+    if gap < _MIN_ANGLE or math.pi - gap < _MIN_ANGLE:
         return None
     if spec.moduli_margin and abs(ra - rb) < spec.moduli_margin:
         return None
@@ -204,86 +194,86 @@ def _disk_pair_attempt(spec: SampleSpec, u: Sequence[float]
         complex(rb * math.cos(tb), rb * math.sin(tb))
 
 
-def sample_disk_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
-    """Pair in the punctured disk, non-collinear with 0, within margins."""
-    return _retry(spec, index, _disk_pair_attempt, 4, "disk_pair")
-
-
 _TAU = 2 * math.pi
-
-
-def _circle_angles(spec: SampleSpec, u: Sequence[float]) -> list[float] | None:
-    """Sorted angles of four unit points, or None when a gap is < min_gap."""
-    # _TAU u is numpy's uniform(0, 2 pi), so the angles are bit-identical
-    angles = sorted([_TAU * x for x in u])
-    t0, t1, t2, t3 = angles
-    if min(t1 - t0, t2 - t1, t3 - t2, t0 + _TAU - t3) < spec.min_gap:
-        return None
-    return angles
-
-
-def _circle_quadruple(angles: list[float], ustart: float, tpos: float
-                      ) -> tuple[complex, complex, complex, complex, float]:
-    """The four points at ``angles``, turned together by 2 pi ustart, and tpos."""
-    start = _TAU * ustart
-    return (*[complex(math.cos(t + start), math.sin(t + start)) for t in angles],
-            tpos)
 
 
 def _circle_quadruple_attempt(spec: SampleSpec, u: Sequence[float]
                               ) -> tuple[complex, complex, complex, complex, float] | None:
     """One circle_quadruple attempt on six uniforms; None when it is rejected.
-    The last two are read only by an accepted attempt."""
-    angles = _circle_angles(spec, u[:4])
-    return None if angles is None else _circle_quadruple(angles, u[4], u[5])
-
-
-def sample_circle_quadruple(spec: SampleSpec, index: int
-                            ) -> tuple[complex, complex, complex, complex, float]:
-    """Four unit-circle points in positive cyclic order with angular gaps
-    >= min_gap, plus a uniform parameter usable for chord points."""
-    rng = _rng(spec, index)
-    for _ in range(1000):
-        angles = _circle_angles(spec, rng.random(4).tolist())
-        if angles is not None:
-            return _circle_quadruple(angles, *rng.random(2).tolist())
-    raise SamplerStarvation("circle_quadruple rejection sampling did not converge")
-
-
-# angles of -1 and +1 seen from the centre -0.2i of the widest lens arc
-_WIDEST_ARC = (math.atan2(0.2, -1.0), math.atan2(0.2, 1.0))
+    The first four place the points and decide; the fifth turns them
+    together and the sixth is the chord parameter."""
+    w, x, y, z, turn, tpos = u
+    # _TAU u is numpy's uniform(0, 2 pi), so the angles are bit-identical
+    t0, t1, t2, t3 = angles = sorted([_TAU * w, _TAU * x, _TAU * y, _TAU * z])
+    if min(t1 - t0, t2 - t1, t3 - t2, t0 + _TAU - t3) < _MIN_GAP:
+        return None
+    start = _TAU * turn
+    return (*[complex(math.cos(t + start), math.sin(t + start)) for t in angles],
+            tpos)
 
 
 def _lens_pair_attempt(spec: SampleSpec, u: Sequence[float]
                        ) -> tuple[complex, complex] | None:
-    """One lens_pair attempt on three uniforms; None when it is rejected,
-    including when min_angle leaves the drawn arc empty."""
-    if _WIDEST_ARC[0] - spec.min_angle < _WIDEST_ARC[1] + spec.min_angle:
-        raise ValueError("min_angle leaves no arc to sample")
+    """One lens_pair attempt on three uniforms; None when it is rejected.
+    No arc is empty: the narrowest, at t = 3, spans pi - 2 atan(3) ~ 0.64,
+    more than 2 _MIN_ANGLE."""
     ut, ua, ub = u
     t = 0.2 + (3.0 - 0.2) * ut                # arc circle center at -it
     center = -1j * t
     radius = math.sqrt(1 + t * t)
     lo = math.atan2(t, -1.0)                  # angle of -1 seen from center
     hi = math.atan2(t, 1.0)                   # angle of +1 seen from center
-    first, last = hi + spec.min_angle, lo - spec.min_angle
-    if last < first:
-        return None
+    first, last = hi + _MIN_ANGLE, lo - _MIN_ANGLE
     pa = center + radius * np.exp(1j * (first + (last - first) * ua))
     pb = center + radius * np.exp(1j * (first + (last - first) * ub))
     a = complex(pa)
     b = complex(pb).conjugate()
     if a.imag <= 0 or b.imag >= 0:
         return None
-    if abs(a) >= 1 - spec.boundary_margin or abs(b) >= 1 - spec.boundary_margin:
+    if abs(a) >= _MAX_RADIUS or abs(b) >= _MAX_RADIUS:
         return None
     return a, b
+
+
+# per sampler: how far one attempt moves along the stream, how many uniforms
+# it reads, and the attempt itself
+_ATTEMPTS: dict[str, tuple[int, int, Callable]] = {
+    "disk_pair": (4, 4, _disk_pair_attempt),
+    "circle_quadruple": (4, 6, _circle_quadruple_attempt),
+    "lens_pair": (3, 3, _lens_pair_attempt),
+}
+
+
+def _retry(sampler: str, spec: SampleSpec, index: int) -> tuple:
+    """Sample ``index`` of ``sampler``: its attempt on a window of ``words``
+    uniforms of the sample's stream, slid ``stride`` on after each rejection."""
+    stride, words, attempt = _ATTEMPTS[sampler]
+    rng = _rng(spec, index)
+    u = rng.random(words).tolist()
+    for _ in range(1000):
+        sample = attempt(spec, u)
+        if sample is not None:
+            return sample
+        u = u[stride:] + rng.random(stride).tolist()
+    raise SamplerStarvation(f"{sampler} rejection sampling did not converge")
+
+
+def sample_disk_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
+    """Pair in the punctured disk, non-collinear with 0, within margins."""
+    return _retry("disk_pair", spec, index)
+
+
+def sample_circle_quadruple(spec: SampleSpec, index: int
+                            ) -> tuple[complex, complex, complex, complex, float]:
+    """Four unit-circle points in positive cyclic order with angular gaps
+    >= _MIN_GAP, plus a uniform parameter usable for chord points."""
+    return _retry("circle_quadruple", spec, index)
 
 
 def sample_lens_pair(spec: SampleSpec, index: int) -> tuple[complex, complex]:
     """Boundary points of a lens through -1 and 1 symmetric in the real axis:
     a on the upper arc, b on the lower (mirrored) arc."""
-    return _retry(spec, index, _lens_pair_attempt, 3, "lens_pair")
+    return _retry("lens_pair", spec, index)
 
 
 SAMPLERS: dict[str, Callable] = {
@@ -292,30 +282,23 @@ SAMPLERS: dict[str, Callable] = {
     "lens_pair": sample_lens_pair,
 }
 
-# per sampler: the uniforms its first attempt reads, and the attempt itself
-_FIRST_ATTEMPTS: dict[str, tuple[int, Callable]] = {
-    "disk_pair": (4, _disk_pair_attempt),
-    "circle_quadruple": (6, _circle_quadruple_attempt),
-    "lens_pair": (3, _lens_pair_attempt),
-}
 
-
-def _samples(spec: SampleSpec) -> Iterator[tuple]:
-    """Samples 0 .. count-1 of ``spec``, equal to ``SAMPLERS[spec.sampler]``'s.
+def _samples(spec: SampleSpec, sampler: str) -> Iterator[tuple]:
+    """Samples 0 .. count-1 of ``spec``, equal to ``SAMPLERS[sampler]``'s.
     First attempts are drawn a chunk at a time; a sample whose first attempt
     is rejected, or whose chunk is too small to vectorize, is drawn by the
     scalar sampler from its start."""
-    sampler = SAMPLERS[spec.sampler]
-    words, attempt = _FIRST_ATTEMPTS[spec.sampler]
+    draw = SAMPLERS[sampler]
+    _, words, attempt = _ATTEMPTS[sampler]
     for begin in range(0, spec.count, _CHUNK):
         end = min(begin + _CHUNK, spec.count)
         if end - begin < _MIN_CHUNK:
             for i in range(begin, end):
-                yield sampler(spec, i)
+                yield draw(spec, i)
             continue
         for i, u in enumerate(_first_uniforms(spec.seed, begin, end, words), begin):
             sample = attempt(spec, u)
-            yield sampler(spec, i) if sample is None else sample
+            yield draw(spec, i) if sample is None else sample
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +513,8 @@ class _Check:
     default_tol: float
     fn: Callable
     assertive: bool = True
+    # the least ||a| - |b|| its formulas need to stay well-conditioned
+    moduli_margin: float = 0.0
 
 
 CHECKS: dict[str, _Check] = {
@@ -539,30 +524,26 @@ CHECKS: dict[str, _Check] = {
     "eleven_points": _Check("disk_pair", 1e-8, _residual_eleven_points),
     "pq_collinear": _Check("disk_pair", 1e-8, _residual_pq_collinear),
     "lens_lemma": _Check("lens_pair", 1e-9, _residual_lens_lemma),
-    "midpoint_constructions": _Check("disk_pair", 1e-9, _residual_midpoint_constructions),
+    "midpoint_constructions": _Check("disk_pair", 1e-9, _residual_midpoint_constructions,
+                                     moduli_margin=0.02),
     "midpoint_oracle": _Check("disk_pair", 1e-9, _residual_midpoint_oracle),
     "orthocenter_w2": _Check("circle_quadruple", 1e-8, _residual_orthocenter_w2),
     "w_in_disk": _Check("circle_quadruple", 1e-9, _residual_w_in_disk),
     "chord_geodesic_collinear": _Check("circle_quadruple", 1e-9,
                                        _residual_chord_geodesic_collinear),
     "midpoint_origin_f": _Check("circle_quadruple", 1e-9, _residual_midpoint_origin_f),
-    "chordal_midpoint": _Check("disk_pair", 1e-9, _residual_chordal_midpoint),
+    "chordal_midpoint": _Check("disk_pair", 1e-9, _residual_chordal_midpoint,
+                               moduli_margin=0.02),
     "conjecture": _Check("circle_quadruple", 1e-9, _residual_conjecture,
                          assertive=False),
 }
 
-# checks whose formulas need a |a| != |b| separation to stay well-conditioned
-_NEEDS_MODULI_MARGIN = {"midpoint_constructions", "chordal_midpoint"}
-
-
 def default_spec(theorem_id: str, count: int, seed: int) -> SampleSpec:
-    """SampleSpec preset matching the check's sampler requirements."""
+    """SampleSpec of ``count`` samples with the check's moduli margin."""
     check = CHECKS.get(theorem_id)
     if check is None:
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
-    margin = 0.02 if theorem_id in _NEEDS_MODULI_MARGIN else 0.0
-    return SampleSpec(sampler=check.sampler, count=count, seed=seed,
-                      moduli_margin=margin)
+    return SampleSpec(count=count, seed=seed, moduli_margin=check.moduli_margin)
 
 
 def _flatten_input(sample: Sequence) -> list[list[float]]:
@@ -579,16 +560,13 @@ def run_check(theorem_id: str, spec: SampleSpec,
     check = CHECKS.get(theorem_id)
     if check is None:
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
-    if spec.sampler != check.sampler:
-        raise SamplerMismatch(
-            f"{theorem_id} requires sampler {check.sampler!r}, got {spec.sampler!r}")
     if tol is None:
         tol = check.default_tol
     start = time.perf_counter()
     max_res, sum_res = 0.0, 0.0
     worst: Sequence = ()
     evaluated = skipped = 0
-    for sample in _samples(spec):
+    for sample in _samples(spec, check.sampler):
         try:
             r = check.fn(sample)
         except GeometryError:
@@ -603,7 +581,7 @@ def run_check(theorem_id: str, spec: SampleSpec,
             f"only {evaluated}/{spec.count} samples survived for {theorem_id}")
     return VerificationReport(
         theorem_id=theorem_id,
-        sampler=spec.sampler,
+        sampler=check.sampler,
         requested=spec.count,
         evaluated=evaluated,
         skipped=skipped,

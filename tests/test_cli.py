@@ -110,6 +110,19 @@ def test_verify_unknown_theorem_exits_2(capsys):
     assert main(["verify", "--theorem", "bogus", "--samples", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "all", "--samples", "0"],
+    ["conjecture", "--samples", "0"],
+    ["verify", "--theorem", "eleven_points", "--samples", "5", "--tol", "nan"],
+    ["verify", "--theorem", "eleven_points", "--samples", "5", "--tol", "-1"],
+])
+def test_out_of_range_samples_or_tolerance_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
 def test_verify_impossible_tolerance_exits_1(capsys):
     code = main(["verify", "--theorem", "eleven_points", "--samples", "20",
                  "--seed", "3", "--tol", "1e-30"])

@@ -391,21 +391,38 @@ def _any_points(rng):
 
 
 def test_collinearity_residual_is_the_previous_scan_bit_for_bit():
-    # NaN pairs (inf - inf) are skipped and NaN points give NaN in both; abs
-    # of a difference beyond the float range raises OverflowError in both
+    # NaN pairs (inf - inf) are skipped and NaN points give NaN in both; a
+    # point with |z| >= 2**510, or beyond the float range, where the previous
+    # scan could overflow, now gives NaN
     def outcome(fn, points):
         try:
             return repr(fn(points))
         except OverflowError as exc:
             return repr(exc)
 
+    def expected(points):
+        try:
+            far = max(map(abs, points)) >= 2.0 ** 510
+        except OverflowError:
+            far = True
+        return "nan" if far else outcome(_previous_residual, points)
+
     rng, seen = random.Random(20260823), set()
     for _ in range(20_000):
         points = _any_points(rng)
         got = outcome(collinearity_residual, points)
-        assert got == outcome(_previous_residual, points), points
+        assert got == expected(points), points
         seen.add(got if got in ("nan", "0.0") or "Error" in got else "positive")
-    assert seen == {"nan", "0.0", "positive", "OverflowError('absolute value too large')"}
+    assert seen == {"nan", "0.0", "positive"}
+
+
+def test_collinearity_residual_is_nan_where_the_scan_could_overflow():
+    # exact residual 0.0995: |r_1| |r_2| overflowed and the scan gave 0.0
+    assert math.isnan(collinearity_residual([0j, 1e200 + 0j, 1e109 + 1e108j]))
+    # exact residual 0.707: abs(r_1) raised OverflowError
+    assert math.isnan(collinearity_residual([0j, 1.7e308 + 1.7e308j, 1j]))
+    assert math.isnan(collinearity_residual([0j, 2.0 ** 510, 1j]))
+    assert collinearity_residual([0j, 2.0 ** 509, 2.0 ** 509 * 1j]) == 1.0
 
 
 @pytest.mark.parametrize("points", [[], [0.5j]])

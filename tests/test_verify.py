@@ -12,10 +12,10 @@ from diskgeom.errors import (
     DegenerateDenominator,
     GeometryError,
     OutsideDisk,
-    SamplerMismatch,
     SamplerStarvation,
     UnknownTheorem,
 )
+from diskgeom import verify
 from diskgeom.verify import (
     CHECKS,
     SAMPLERS,
@@ -37,8 +37,14 @@ from diskgeom.verify import (
 from diskgeom.hyperbolic import hyperbolic_midpoint, mobius_T, rho
 
 
-def _spec(sampler="disk_pair", count=50, seed=7, **kw):
-    return SampleSpec(sampler=sampler, count=count, seed=seed, **kw)
+def _spec(count=50, seed=7, **kw):
+    return SampleSpec(count=count, seed=seed, **kw)
+
+
+def _fix(monkeypatch, fixed):
+    """Set the samplers' fixed margins, e.g. {"min_gap": 0.5} sets _MIN_GAP."""
+    for name, value in fixed.items():
+        monkeypatch.setattr(verify, f"_{name.upper()}", value)
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +52,16 @@ def _spec(sampler="disk_pair", count=50, seed=7, **kw):
 
 
 def test_disk_pair_sampler_respects_margins():
-    spec = _spec(min_radius=0.1, boundary_margin=0.1)
+    spec = _spec(moduli_margin=0.3)
     for i in range(50):
         a, b = sample_disk_pair(spec, i)
-        assert 0.1 <= abs(a) <= 0.9 and 0.1 <= abs(b) <= 0.9
+        assert 0.05 <= abs(a) <= 0.95 and 0.05 <= abs(b) <= 0.95
+        assert abs(abs(a) - abs(b)) >= 0.3 - 1e-12
         assert abs((a * b.conjugate()).imag) > 0
 
 
 def test_circle_quadruple_sampler_cyclic():
-    spec = _spec(sampler="circle_quadruple")
+    spec = _spec()
     for i in range(50):
         a, b, c, d, t = sample_circle_quadruple(spec, i)
         for z in (a, b, c, d):
@@ -63,7 +70,7 @@ def test_circle_quadruple_sampler_cyclic():
 
 
 def test_lens_pair_sampler_is_mirror_symmetric_domain():
-    spec = _spec(sampler="lens_pair")
+    spec = _spec()
     for i in range(50):
         a, b = sample_lens_pair(spec, i)
         assert a.imag > 0 and b.imag < 0
@@ -85,6 +92,7 @@ def test_different_seeds_differ():
 # The samplers as first written, one scalar rng.uniform call per value, each
 # on a freshly built Philox generator: the reference that pins the sample
 # stream.  A change that moves the stream must change these deliberately.
+# Each takes the sampler's fixed margins as parameters.
 
 
 def _reference_rng(spec, index):
@@ -92,15 +100,15 @@ def _reference_rng(spec, index):
                                                 counter=index << 128))
 
 
-def _reference_disk_pair(spec, index):
+def _reference_disk_pair(spec, index, min_angle=0.05):
     rng = _reference_rng(spec, index)
     while True:
-        ra = rng.uniform(spec.min_radius, 1 - spec.boundary_margin)
-        rb = rng.uniform(spec.min_radius, 1 - spec.boundary_margin)
+        ra = rng.uniform(0.05, 1 - 0.05)
+        rb = rng.uniform(0.05, 1 - 0.05)
         ta = rng.uniform(0, 2 * math.pi)
         tb = rng.uniform(0, 2 * math.pi)
         gap = abs(math.remainder(ta - tb, math.pi))
-        if gap < spec.min_angle or math.pi - gap < spec.min_angle:
+        if gap < min_angle or math.pi - gap < min_angle:
             continue
         if spec.moduli_margin and abs(ra - rb) < spec.moduli_margin:
             continue
@@ -108,12 +116,12 @@ def _reference_disk_pair(spec, index):
             complex(rb * math.cos(tb), rb * math.sin(tb))
 
 
-def _reference_circle_quadruple(spec, index):
+def _reference_circle_quadruple(spec, index, min_gap=0.1):
     rng = _reference_rng(spec, index)
     while True:
         angles = np.sort(rng.uniform(0, 2 * math.pi, size=4))
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]]))
-        if np.min(gaps) < spec.min_gap:
+        if np.min(gaps) < min_gap:
             continue
         start = rng.uniform(0, 2 * math.pi)
         a, b, c, d = (complex(math.cos(t + start), math.sin(t + start))
@@ -121,43 +129,41 @@ def _reference_circle_quadruple(spec, index):
         return a, b, c, d, float(rng.uniform(0, 1))
 
 
-def _reference_lens_pair(spec, index):
+def _reference_lens_pair(spec, index, min_angle=0.05):
     rng = _reference_rng(spec, index)
     while True:
         t = rng.uniform(0.2, 3.0)
         center = -1j * t
         radius = math.sqrt(1 + t * t)
         lo, hi = math.atan2(t, -1.0), math.atan2(t, 1.0)
-        margin = spec.min_angle
-        a = complex(center + radius * np.exp(1j * rng.uniform(hi + margin, lo - margin)))
+        a = complex(center + radius
+                    * np.exp(1j * rng.uniform(hi + min_angle, lo - min_angle)))
         b = complex(center + radius
-                    * np.exp(1j * rng.uniform(hi + margin, lo - margin))).conjugate()
+                    * np.exp(1j * rng.uniform(hi + min_angle, lo - min_angle))).conjugate()
         if a.imag <= 0 or b.imag >= 0:
             continue
-        if abs(a) >= 1 - spec.boundary_margin or abs(b) >= 1 - spec.boundary_margin:
+        if abs(a) >= 1 - 0.05 or abs(b) >= 1 - 0.05:
             continue
         return a, b
 
 
 @pytest.mark.parametrize("seed", [0, 20260823, 2**63 + 5])
-@pytest.mark.parametrize("sampler, reference, kw", [
-    (sample_disk_pair, _reference_disk_pair, {}),
-    (sample_disk_pair, _reference_disk_pair, {"moduli_margin": 0.02}),
-    (sample_circle_quadruple, _reference_circle_quadruple,
-     {"sampler": "circle_quadruple"}),
-    (sample_lens_pair, _reference_lens_pair, {"sampler": "lens_pair"}),
+@pytest.mark.parametrize("sampler, reference, margin, fixed", [
+    (sample_disk_pair, _reference_disk_pair, 0.0, {}),
+    (sample_disk_pair, _reference_disk_pair, 0.02, {}),
+    (sample_disk_pair, _reference_disk_pair, 0.3, {"min_angle": 0.6}),   # rejects ~3 in 4
+    (sample_circle_quadruple, _reference_circle_quadruple, 0.0, {}),
+    (sample_circle_quadruple, _reference_circle_quadruple, 0.0,
+     {"min_gap": 0.5}),                                                  # rejects ~2 in 3
+    (sample_lens_pair, _reference_lens_pair, 0.0, {}),
+    (sample_lens_pair, _reference_lens_pair, 0.0, {"min_angle": 0.01}),  # rejects ~1 in 10
 ])
-def test_sample_stream_matches_scalar_uniform_reference(seed, sampler, reference, kw):
-    spec = _spec(seed=seed, **kw)
+def test_sample_stream_matches_scalar_uniform_reference(
+        monkeypatch, seed, sampler, reference, margin, fixed):
+    _fix(monkeypatch, fixed)
+    spec = _spec(seed=seed, moduli_margin=margin)
     for i in range(300):
-        assert sampler(spec, i) == reference(spec, i)
-
-
-def test_samplers_refuse_margins_that_leave_nothing_to_draw():
-    with pytest.raises(ValueError):
-        sample_disk_pair(_spec(min_radius=0.9, boundary_margin=0.2), 0)
-    with pytest.raises(ValueError):
-        sample_lens_pair(_spec(sampler="lens_pair", min_angle=1.5), 0)
+        assert sampler(spec, i) == reference(spec, i, **fixed)
 
 
 def test_disk_pair_golden_samples():
@@ -175,8 +181,8 @@ def test_samples_ignore_interleaving_threads_and_extreme_indices(seed):
     # sample drew (a long rejection run, a half-used block, a cached 32-bit
     # half) may leak into the next one
     plain = _spec(seed=seed)
-    picky = _spec(seed=seed, min_angle=1.5)        # accepts ~1 attempt in 20
-    lens = _spec(seed=seed, sampler="lens_pair")
+    picky = _spec(seed=seed, moduli_margin=0.6)    # accepts ~1 attempt in 9
+    lens = _spec(seed=seed)
     first = sample_disk_pair(plain, 5)
     sample_disk_pair(picky, 9)
     sample_lens_pair(lens, 9)
@@ -196,7 +202,7 @@ def test_samples_ignore_interleaving_threads_and_extreme_indices(seed):
         assert forward == [reference(spec, i) for i in indices]
 
     # two threads on disjoint index ranges match one sequential run
-    spec = _spec(seed=seed, sampler="circle_quadruple")
+    spec = _spec(seed=seed)
     sequential = [sample_circle_quadruple(spec, i) for i in range(400)]
     results = [None, None]
 
@@ -218,44 +224,6 @@ def test_samples_ignore_interleaving_threads_and_extreme_indices(seed):
     assert results[0] + results[1] == sequential
 
 
-def _lens_pair_raising_on_an_empty_arc(spec, index):
-    """sample_lens_pair as it was while an empty arc raised ValueError."""
-    rng = _rng(spec, index)
-    for _ in range(1000):
-        ut, ua, ub = rng.random(3).tolist()
-        t = 0.2 + (3.0 - 0.2) * ut
-        center, radius = -1j * t, math.sqrt(1 + t * t)
-        first = math.atan2(t, 1.0) + spec.min_angle
-        last = math.atan2(t, -1.0) - spec.min_angle
-        if last < first:
-            raise ValueError("min_angle leaves no arc to sample")
-        a = complex(center + radius * np.exp(1j * (first + (last - first) * ua)))
-        b = complex(center + radius * np.exp(1j * (first + (last - first) * ub))).conjugate()
-        if a.imag <= 0 or b.imag >= 0:
-            continue
-        if abs(a) >= 1 - spec.boundary_margin or abs(b) >= 1 - spec.boundary_margin:
-            continue
-        return a, b
-
-
-def test_lens_pair_sampler_rejects_an_empty_arc_instead_of_raising():
-    # at min_angle 0.4 an arc is empty for t > ~2.38; such a draw is now a
-    # rejected attempt, and every sample that drew none keeps its value
-    spec = _spec(sampler="lens_pair", count=2000, seed=0, min_angle=0.4)
-    emptied = 0
-    for i in range(spec.count):
-        try:
-            before = _lens_pair_raising_on_an_empty_arc(spec, i)
-        except ValueError:
-            emptied += 1
-            assert sample_lens_pair(spec, i)[0].imag > 0
-            continue
-        assert sample_lens_pair(spec, i) == before
-    assert emptied > 300
-    report = run_check("lens_lemma", spec)
-    assert (report.evaluated, report.skipped) == (2000, 0) and report.passed
-
-
 # ---------------------------------------------------------------------------
 # run_check's chunked sample stream
 
@@ -272,7 +240,8 @@ def test_first_uniforms_match_the_scalar_generator(seed, words):
 def _scalar_run_check(theorem_id, spec):
     """run_check's report without wall_time_s, from its loop as first
     written: one scalar sampler call per sample."""
-    check, sampler = CHECKS[theorem_id], SAMPLERS[spec.sampler]
+    check = CHECKS[theorem_id]
+    sampler = SAMPLERS[check.sampler]
     max_res, sum_res, worst = 0.0, 0.0, ()
     evaluated = skipped = 0
     for i in range(spec.count):
@@ -288,7 +257,7 @@ def _scalar_run_check(theorem_id, spec):
             max_res, worst = r, sample
     if evaluated < 0.9 * spec.count:
         raise SamplerStarvation(f"only {evaluated}/{spec.count} samples survived")
-    return dict(theorem_id=theorem_id, sampler=spec.sampler, requested=spec.count,
+    return dict(theorem_id=theorem_id, sampler=check.sampler, requested=spec.count,
                 evaluated=evaluated, skipped=skipped, seed=spec.seed,
                 tolerance=check.default_tol, max_residual=max_res,
                 mean_residual=sum_res / evaluated,
@@ -314,19 +283,21 @@ def _stream_probe(sample):
 
 
 @pytest.mark.parametrize("seed", [0, 20260823, 2**63 + 5])
-@pytest.mark.parametrize("sampler, kw", [
-    ("disk_pair", {}),
-    ("disk_pair", {"moduli_margin": 0.02}),
-    ("disk_pair", {"moduli_margin": 0.3, "min_angle": 0.6}),   # rejects ~3 in 4
-    ("circle_quadruple", {}),
-    ("circle_quadruple", {"min_gap": 0.5}),                    # rejects ~2 in 3
-    ("lens_pair", {}),
-    ("lens_pair", {"min_angle": 0.4}),                         # empty arcs
+@pytest.mark.parametrize("sampler, margin, fixed", [
+    ("disk_pair", 0.0, {}),
+    ("disk_pair", 0.02, {}),
+    ("disk_pair", 0.3, {"min_angle": 0.6}),     # rejects ~3 in 4
+    ("circle_quadruple", 0.0, {}),
+    ("circle_quadruple", 0.0, {"min_gap": 0.5}),  # rejects ~2 in 3
+    ("lens_pair", 0.0, {}),
+    ("lens_pair", 0.0, {"min_angle": 0.01}),    # rejects ~1 in 10
 ])
-def test_chunked_stream_reports_equal_the_scalar_loop(monkeypatch, seed, sampler, kw):
+def test_chunked_stream_reports_equal_the_scalar_loop(monkeypatch, seed, sampler,
+                                                      margin, fixed):
+    _fix(monkeypatch, fixed)
     monkeypatch.setitem(CHECKS, "stream_probe", _Check(sampler, 1.0, _stream_probe))
     for count in (1, 256, 1023, 1024, 1025, 1280, 2049):
-        spec = _spec(sampler=sampler, count=count, seed=seed, **kw)
+        spec = _spec(count=count, seed=seed, moduli_margin=margin)
         try:
             expected = _scalar_run_check("stream_probe", spec)
         except SamplerStarvation:         # a lone sample that the probe refuses
@@ -359,13 +330,6 @@ def test_run_check_draws_one_by_one_only_rejected_first_attempts_and_short_chunk
                 if _disk_pair_attempt(spec, _rng(spec, i).random(4).tolist()) is None]
     assert 0 < len(rejected) < 100
     assert calls == rejected + list(range(1024, 1279))
-
-
-def test_run_check_refuses_margins_that_leave_nothing_to_draw():
-    with pytest.raises(ValueError):
-        run_check("eleven_points", _spec(min_radius=0.9, boundary_margin=0.2))
-    with pytest.raises(ValueError):
-        run_check("lens_lemma", _spec(sampler="lens_pair", min_angle=1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +414,6 @@ def test_unknown_theorem_raises():
         run_check("nope", _spec())
     with pytest.raises(UnknownTheorem):
         default_spec("nope", 10, 0)
-
-
-def test_sampler_mismatch_raises():
-    with pytest.raises(SamplerMismatch):
-        run_check("orthocenter_w2", _spec(sampler="disk_pair"))
 
 
 def test_run_check_is_deterministic():
