@@ -16,7 +16,6 @@ from .euclid import (
     orthocenter,
 )
 from .hyperbolic import (
-    Geodesic,
     chord_vs_geodesic_midpoint,
     geodesic_endpoints,
     geodesic_intersection_on_circle,
@@ -54,8 +53,8 @@ __version__ = "1.0.0"
 __all__ = [
     "GeometryError",
     "GenCircle", "circumcenter", "line_intersection", "orthocenter",
-    "Geodesic", "chord_vs_geodesic_midpoint",
-    "geodesic_endpoints", "geodesic_intersection_on_circle",
+    "chord_vs_geodesic_midpoint", "geodesic_endpoints",
+    "geodesic_intersection_on_circle",
     "hyperbolic_line", "hyperbolic_midpoint", "midpoint_via_inversion",
     "midpoint_via_lens", "mobius_T", "rho",
     "INFINITY", "SpherePoint", "antipodal", "chordal_distance",

@@ -64,7 +64,7 @@ def figure_1() -> FigureData:
         (p["a"], p["b_star"]), (p["b"], p["a_star"]),
         (p["v"], p["a_end"]), (p["v"], p["b_end"]),
     ]
-    fig.circles = [(hyperbolic_line(a, b).carrier, "dashed")]
+    fig.circles = [(hyperbolic_line(a, b), "dashed")]
     return fig
 
 
@@ -91,7 +91,7 @@ def figure_3() -> FigureData:
         (p["a"], p["b_end"]), (p["a_star"], p["b"]),
         (p["a"], p["b_star"]), (p["a_star"], p["b_end"]),
     ]
-    fig.circles = [(hyperbolic_line(a, b).carrier, "dashed")]
+    fig.circles = [(hyperbolic_line(a, b), "dashed")]
     fig.circles += _great_circles(fig.segments)
     return fig
 
@@ -106,7 +106,7 @@ def figure_5() -> FigureData:
                      {"a": a, "b": b, "a_end": cfg.a_end, "b_end": cfg.b_end,
                       "c": c, "m": m})
     fig.segments = [(c, a), (c, cfg.a_end)]
-    fig.circles = [(hyperbolic_line(a, b).carrier, "solid"),
+    fig.circles = [(hyperbolic_line(a, b), "solid"),
                    (GenCircle(1.0, -c, 1.0), "solid")]
     return fig
 
@@ -123,8 +123,8 @@ def figure_6() -> FigureData:
                       "g": g, "j": j, "k": k, "l": l, "f": f, "m": m})
     fig.segments = [(g, a), (g, d), (g, l), (a, b), (a, c), (a, d),
                     (b, c), (b, d)]
-    fig.circles = [(hyperbolic_line(x * (1 - 1e-12), y * (1 - 1e-12)).carrier,
-                    "solid") for x, y in ((a, c), (b, d))]
+    fig.circles = [(GenCircle.through(x, y, +1), "solid")
+                   for x, y in ((a, c), (b, d))]
     return fig
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 from .errors import (
     CoincidentPoints,
@@ -14,7 +13,6 @@ from .errors import (
     InvalidCyclicOrder,
     NearBoundary,
     NoInDiskRoot,
-    NoRealIntersection,
     OriginIntersection,
     OutsideDisk,
     PoleHit,
@@ -28,8 +26,6 @@ from .euclid import (
 )
 from . import euclid
 from .spherical import great_circle_projection
-
-UNIT_CIRCLE = GenCircle.circle(0j, 1.0)
 
 
 def ahlfors_bracket(x: complex, y: complex) -> float:
@@ -74,21 +70,13 @@ def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
             (a * (1 - a.conjugate() * b) * mab + (b - a) * m1) / den_b)
 
 
-class Geodesic(NamedTuple):
-    """Hyperbolic line through a, b: a diameter, or a circle orthogonal to
-    the unit circle."""
-
-    carrier: GenCircle
-    a: complex
-    b: complex
-
-
-def hyperbolic_line(a: complex, b: complex) -> Geodesic:
+def hyperbolic_line(a: complex, b: complex) -> GenCircle:
     """Geodesic through two distinct points of the open disk: the curve
-    through a, b and 1/conj(a), a diameter when a, b, 0 are collinear."""
+    through a, b and 1/conj(a), orthogonal to the unit circle, a diameter
+    when a, b, 0 are collinear."""
     if abs(a) >= 1 or abs(b) >= 1:
         raise OutsideDisk("points must lie in the open disk")
-    return Geodesic(GenCircle.through(a, b, +1), a, b)
+    return GenCircle.through(a, b, +1)
 
 
 def midpoint_from_moduli(H: complex, a2: float, b2: float, m1: float) -> complex:
@@ -143,15 +131,15 @@ def midpoint_via_lens(a: complex, b: complex) -> complex:
 
     The projected great circle through a and 1/conj(b) meets the unit circle
     in {u, -u}, and the midpoint is the in-disk intersection of the diameter
-    [-u, u] with the circle through a, b, 1/conj(a).
+    [-u, u] with the circle through a, b, 1/conj(a).  The diameter is the
+    radical line of the great circle (A, B, -A) and the unit circle
+    (1, 0, -1): their difference (0, B, 0) passes through both common points
+    u, -u and through 0.  Every great circle meets the equator, so it always
+    exists.  The circle comes from circumcenter, not GenCircle.through,
+    which loses accuracy as b approaches a.
     """
-    carrier = great_circle_projection(a, 1 / b.conjugate())
-    pts = gencircle_intersection(UNIT_CIRCLE, carrier)
-    if pts is None:
-        raise NoRealIntersection("great circle does not meet the unit circle")
-    u = pts[0]
+    chord = GenCircle(0.0, great_circle_projection(a, 1 / b.conjugate()).B, 0.0)
     v = circumcenter(a, b, 1 / a.conjugate())
-    chord = GenCircle.line(-u, u)
     target = GenCircle.circle(v, abs(a - v))
     return in_disk_point(gencircle_intersection(chord, target))
 
@@ -171,7 +159,7 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
         raise NoInDiskRoot("inversion center inside the unit circle")
     inv_circle = GenCircle(1.0, -c, 1.0)   # center c, orthogonal to |z| = 1
     return in_disk_point(
-        gencircle_intersection(hyperbolic_line(a, b).carrier, inv_circle))
+        gencircle_intersection(hyperbolic_line(a, b), inv_circle))
 
 
 def chord_vs_geodesic_midpoint(a: complex, b: complex, c: complex, d: complex
@@ -179,11 +167,10 @@ def chord_vs_geodesic_midpoint(a: complex, b: complex, c: complex, d: complex
     """For a cyclic unit quadruple: the chord intersection f = L[a,c] ^ L[b,d]
     and the geodesic intersection m; f, m, 0 are collinear and m is the
     hyperbolic midpoint of 0 and f."""
-    check_cyclic_order((a, b, c, d))
+    m = geodesic_intersection_on_circle(a, b, c, d)   # checks the cyclic order
     f = line_intersection(a, c, b, d)
     if abs(f) <= euclid.DEGENERACY_TOL:
         raise OriginIntersection("chords meet at the origin")
-    m = geodesic_intersection_on_circle(a, b, c, d)
     return f, m
 
 

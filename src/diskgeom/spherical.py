@@ -46,8 +46,9 @@ def to_sphere(z: complex) -> SpherePoint:
     """Stereographic image of a plane point (infinity -> north pole)."""
     if is_infinity(z):
         return SpherePoint(0.0, 0.0, 1.0)
-    d = 1 + abs(z) ** 2
-    return SpherePoint(z.real / d, z.imag / d, abs(z) ** 2 / d)
+    r = abs(z)
+    h = math.hypot(1.0, r)   # sqrt(1 + |z|^2), finite for every finite z
+    return SpherePoint(z.real / h / h, z.imag / h / h, (r / h) ** 2)
 
 
 def chordal_distance(x: complex, y: complex) -> float:
@@ -56,10 +57,10 @@ def chordal_distance(x: complex, y: complex) -> float:
     if xinf and yinf:
         return 0.0
     if xinf:
-        return 1 / math.sqrt(1 + abs(y) ** 2)
+        return 1 / math.hypot(1.0, abs(y))
     if yinf:
-        return 1 / math.sqrt(1 + abs(x) ** 2)
-    return abs(x - y) / (math.sqrt(1 + abs(x) ** 2) * math.sqrt(1 + abs(y) ** 2))
+        return 1 / math.hypot(1.0, abs(x))
+    return abs(x - y) / math.hypot(1.0, abs(x)) / math.hypot(1.0, abs(y))
 
 
 def antipodal(a: complex) -> complex:

@@ -37,12 +37,11 @@ from .errors import (
     SamplerStarvation,
     UnknownTheorem,
 )
-from .euclid import line_intersection, orthocenter, scale_of
+from .euclid import GenCircle, line_intersection, orthocenter, scale_of
 from .hyperbolic import (
     chord_vs_geodesic_midpoint,
     conjecture_points,
     geodesic_intersection_on_circle,
-    hyperbolic_line,
     hyperbolic_midpoint,
     midpoint_via_inversion,
     midpoint_via_lens,
@@ -457,12 +456,15 @@ def _residual_orthocenter_w2(sample: Sequence) -> float:
 
 
 def _residual_w_in_disk(sample: Sequence) -> float:
+    """Distance from w to the geodesics through (a, c) and (b, d), built
+    exactly on the unit circle as GenCircle.through(x, y, +1): its
+    coefficients vanish only for y = 1/conj(x) = x, so unit-circle points
+    need no shrink into the disk.  The curves come from the four points
+    alone, independent of w's +- closed form."""
     a, b, c, d = sample[:4]
     w = geodesic_intersection_on_circle(a, b, c, d)
-    eps = 1e-6   # geodesic construction needs interior points
-    g1 = hyperbolic_line(a * (1 - eps), c * (1 - eps))
-    g2 = hyperbolic_line(b * (1 - eps), d * (1 - eps))
-    return max(g1.carrier.residual(w), g2.carrier.residual(w))
+    return max(GenCircle.through(a, c, +1).residual(w),
+               GenCircle.through(b, d, +1).residual(w))
 
 
 def _residual_chord_geodesic_collinear(sample: Sequence) -> float:

@@ -30,7 +30,7 @@ from diskgeom.configurations import (
     h_vector,
     pq_family,
 )
-from diskgeom.hyperbolic import hyperbolic_line, hyperbolic_midpoint
+from diskgeom.hyperbolic import hyperbolic_midpoint
 from diskgeom.verify import _residual_eleven_points, default_spec, sample_disk_pair
 
 from conftest import polar_points, well_separated
@@ -101,7 +101,6 @@ def test_build_config_reflections():
 
 @pytest.mark.parametrize("record, fields", [
     (GenCircle(1.0, 0.5j, -0.75), ("A", "B", "C")),
-    (hyperbolic_line(0.3 + 0.1j, -0.2 + 0.4j), ("carrier", "a", "b")),
     (build_config(0.3 + 0.1j, -0.2 + 0.4j),
      ("a", "b", "a_star", "b_star", "a_end", "b_end")),
 ])

@@ -25,7 +25,7 @@ from diskgeom.euclid import (
     orthocenter,
     scale_of,
 )
-from diskgeom.hyperbolic import UNIT_CIRCLE, hyperbolic_line
+from diskgeom.hyperbolic import hyperbolic_line
 from diskgeom.spherical import antipodal, great_circle_projection
 
 from conftest import polar_points, unit_circle_points, well_separated
@@ -187,8 +187,9 @@ def test_curve_through_a_pair_refuses_coincident_and_antipodal_points():
 def test_nearly_diametral_curves_meet_the_unit_circle_near_the_diameter():
     # 1e-12 rad off collinear with 0: the true crossings sit ~1e-11 from +-1
     a, b = 0.5 + 0j, cmath.rect(0.75, 1e-12)
-    for curve in (hyperbolic_line(a, b).carrier, great_circle_projection(a, b)):
-        pts = gencircle_intersection(UNIT_CIRCLE, curve)
+    unit_circle = GenCircle.circle(0j, 1.0)
+    for curve in (hyperbolic_line(a, b), great_circle_projection(a, b)):
+        pts = gencircle_intersection(unit_circle, curve)
         assert pts is not None
         for z in pts:
             assert min(abs(z - 1), abs(z + 1)) <= 1e-10

@@ -8,10 +8,12 @@ from hypothesis import assume, given, strategies as st
 
 from diskgeom.errors import (
     CoincidentPoints,
+    CollinearPoints,
     EqualModuli,
     InvalidCyclicOrder,
     OutsideDisk,
 )
+from diskgeom.euclid import GenCircle
 from diskgeom.hyperbolic import (
     ahlfors_bracket,
     check_cyclic_order,
@@ -110,12 +112,11 @@ def test_geodesic_endpoints_match_mobius_construction(pts):
 
 
 def test_diameter_geodesic_is_a_line():
-    g = hyperbolic_line(0.2 + 0j, -0.5 + 0j)
-    assert g.carrier.A == 0
+    assert hyperbolic_line(0.2 + 0j, -0.5 + 0j).A == 0
 
 
 @pytest.mark.parametrize("a, b", [
-    (2, 0.5),          # b = 1/conj(a): the carrier's coefficients vanish
+    (2, 0.5),          # b = 1/conj(a): the curve's coefficients vanish
     (1.5, 1.5),        # coincident
     (0.3j, 1.0),       # on the unit circle
     (-1.2 + 0.1j, 0.4 - 0.2j),
@@ -134,12 +135,11 @@ def test_hyperbolic_line_in_disk_refusal_is_unchanged():
 def test_geodesic_circle_orthogonal_to_unit_circle(pts):
     a, b = pts
     assume(well_separated(a, b))
-    g = hyperbolic_line(a, b)
-    circ = g.carrier
+    circ = hyperbolic_line(a, b)
     # orthogonality: |center|^2 = 1 + radius^2
     assert abs(abs(circ.center) ** 2 - 1 - circ.radius ** 2) <= 1e-9
-    assert g.carrier.residual(a) <= IDENTITY_TOL
-    assert g.carrier.residual(b) <= IDENTITY_TOL
+    assert circ.residual(a) <= IDENTITY_TOL
+    assert circ.residual(b) <= IDENTITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +176,16 @@ def test_midpoint_constructions_agree(pts):
     assert abs(midpoint_via_inversion(a, b) - m) <= 1e-8
 
 
+@pytest.mark.parametrize("a", [0.3 + 0.2j, -0.5 + 0.1j, 0.6j])
+def test_midpoint_via_lens_keeps_its_accuracy_as_b_approaches_a(a):
+    # circumcenter's circle stays accurate where GenCircle.through's would not
+    for gap in (1e-7, 1e-10):
+        b = a + gap * cmath.exp(0.7j)
+        assert abs(midpoint_via_lens(a, b) - hyperbolic_midpoint(a, b)) <= 1e-14
+    with pytest.raises(CollinearPoints):
+        midpoint_via_lens(a, a + 1e-12 * cmath.exp(0.7j))
+
+
 def test_midpoint_via_inversion_equal_moduli_raises():
     with pytest.raises(EqualModuli):
         midpoint_via_inversion(0.5 + 0j, 0.5j)
@@ -192,11 +202,15 @@ def test_two_perpendicular_diameters_meet_at_origin():
 def test_cyclic_order_rejects_swapped_points():
     with pytest.raises(InvalidCyclicOrder):
         check_cyclic_order((1 + 0j, -1 + 0j, 1j, -1j))
+    with pytest.raises(InvalidCyclicOrder):
+        chord_vs_geodesic_midpoint(1 + 0j, -1 + 0j, 1j, -1j)
 
 
 def test_cyclic_order_rejects_interior_point():
     with pytest.raises(InvalidCyclicOrder):
         check_cyclic_order((0.5 + 0j, 1j, -1 + 0j, -1j))
+    with pytest.raises(InvalidCyclicOrder):
+        chord_vs_geodesic_midpoint(0.5 + 0j, 1j, -1 + 0j, -1j)
 
 
 @given(st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True),
@@ -208,10 +222,8 @@ def test_geodesic_intersection_lies_on_both_geodesics(params):
     a, b, c, d = (cmath.exp(1j * t) for t in angles)
     w = geodesic_intersection_on_circle(a, b, c, d)
     assert abs(w) < 1
-    eps = 1e-7
     for x, y in ((a, c), (b, d)):
-        geo = hyperbolic_line(x * (1 - eps), y * (1 - eps))
-        assert geo.carrier.residual(w) <= 1e-5
+        assert GenCircle.through(x, y, +1).residual(w) <= 1e-5
 
 
 def test_chord_vs_geodesic_midpoint_identity():

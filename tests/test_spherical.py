@@ -47,6 +47,16 @@ def test_to_sphere_landmarks():
     assert (p.xi, p.eta, p.zeta) == (0.0, 0.0, 1.0)
 
 
+def test_stereographic_functions_take_points_of_any_finite_modulus():
+    # 1 + |z|^2 overflows for |z| above ~1.3e154
+    p = to_sphere(1e200)
+    assert math.isclose(p.xi, 1e-200, rel_tol=1e-15)
+    assert (p.eta, p.zeta) == (0.0, 1.0)
+    assert math.isclose(chordal_distance(1e200, 0j), 1.0, rel_tol=1e-15)
+    assert math.isclose(chordal_distance(1e200, 1e200j), math.sqrt(2) * 1e-200,
+                        rel_tol=1e-15)
+
+
 @given(polar_points(0.0, 5.0))
 def test_projection_round_trip_and_on_sphere(z):
     p = to_sphere(z)

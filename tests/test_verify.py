@@ -500,3 +500,10 @@ def test_every_registered_check_passes_smoke_run():
     for tid in CHECKS:
         report = run_check(tid, default_spec(tid, 25, 11))
         assert report.passed, (tid, report.max_residual)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_w_in_disk_residual_is_at_rounding_level(seed):
+    # the oracle's geodesics pass exactly through the unit-circle points
+    report = run_check("w_in_disk", default_spec("w_in_disk", 2000, seed))
+    assert report.max_residual <= 1e-13
