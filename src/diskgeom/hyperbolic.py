@@ -34,10 +34,15 @@ def ahlfors_bracket(x: complex, y: complex) -> float:
 
 
 def rho(x: complex, y: complex) -> float:
-    """Hyperbolic distance in the unit disk."""
+    """Hyperbolic distance in the unit disk.  A ratio |x - y| / A[x,y] that
+    rounds to 1, possible only when |x| or |y| is within rounding of 1,
+    raises NearBoundary."""
     if abs(x) >= 1 or abs(y) >= 1:
         raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
-    return 2 * math.atanh(abs(x - y) / ahlfors_bracket(x, y))
+    ratio = abs(x - y) / ahlfors_bracket(x, y)
+    if ratio >= 1:
+        raise NearBoundary("|x - y| / |1 - x conj(y)| rounds to 1")
+    return 2 * math.atanh(ratio)
 
 
 def mobius_T(a: complex, z: complex) -> complex:

@@ -60,7 +60,14 @@ def chordal_distance(x: complex, y: complex) -> float:
         return 1 / math.hypot(1.0, abs(y))
     if yinf:
         return 1 / math.hypot(1.0, abs(x))
-    return abs(x - y) / math.hypot(1.0, abs(x)) / math.hypot(1.0, abs(y))
+    hx, hy = math.hypot(1.0, abs(x)), math.hypot(1.0, abs(y))
+    try:
+        d = abs(x - y)
+    except OverflowError:               # finite parts, modulus above the range
+        d = math.inf
+    if d < math.inf:
+        return d / hx / hy
+    return abs(x / hx / hy - y / hy / hx)   # |x - y| overflows: scale first
 
 
 def antipodal(a: complex) -> complex:

@@ -18,6 +18,11 @@ from its start; a chunk of fewer than ``_MIN_CHUNK`` samples is drawn by
 ``sample_*`` alone.  Samples that hit a degenerate configuration raise a
 GeometryError and are counted as skipped; a run fails with
 SamplerStarvation when fewer than 90% of the requested samples survive.
+
+numpy serves only the Philox stream, so it is imported by the two functions
+that draw from it, on the first draw; importing this module, and with it
+``diskgeom`` and its CLI, does not load numpy.  The attempts themselves,
+the lens sampler's arc points included, use ``math`` alone.
 """
 
 from __future__ import annotations
@@ -27,8 +32,6 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import (
     GeometryError,
@@ -105,13 +108,14 @@ _M64 = (1 << 64) - 1
 _per_thread = threading.local()
 
 
-def _rng(spec: SampleSpec, index: int) -> np.random.Generator:
+def _rng(spec: SampleSpec, index: int) -> "numpy.random.Generator":
     """The stream of sample ``index``: this thread's one Philox generator,
     re-keyed in place (building a generator per sample costs ~8x more).
     It is valid until this thread's next ``_rng`` call."""
     try:
         rng = _per_thread.rng
     except AttributeError:
+        import numpy as np    # here, not at the top: only a sample draw needs numpy
         rng = _per_thread.rng = np.random.Generator(np.random.Philox())
     rng.bit_generator.state = {
         "bit_generator": "Philox",
@@ -144,6 +148,7 @@ def _first_uniforms(seed: int, begin: int, end: int, words: int
     (seed mod 2**64, 0).
     Each round multiplies words 2 and 0 by the two Philox constants; the high
     half of each 64x64-bit product is assembled from its 32-bit halves."""
+    import numpy as np    # here, not at the top: only a sample draw needs numpy
     blocks, n = -(-words // 4), end - begin
     even = np.zeros((2, blocks * n), np.uint64)     # words (0, 2) per counter
     even[0] = np.repeat(np.arange(1, blocks + 1, dtype=np.uint64), n)
@@ -223,10 +228,9 @@ def _lens_pair_attempt(spec: SampleSpec, u: Sequence[float]
     lo = math.atan2(t, -1.0)                  # angle of -1 seen from center
     hi = math.atan2(t, 1.0)                   # angle of +1 seen from center
     first, last = hi + _MIN_ANGLE, lo - _MIN_ANGLE
-    pa = center + radius * np.exp(1j * (first + (last - first) * ua))
-    pb = center + radius * np.exp(1j * (first + (last - first) * ub))
-    a = complex(pa)
-    b = complex(pb).conjugate()
+    ta, tb = first + (last - first) * ua, first + (last - first) * ub
+    a = center + radius * complex(math.cos(ta), math.sin(ta))
+    b = (center + radius * complex(math.cos(tb), math.sin(tb))).conjugate()
     if a.imag <= 0 or b.imag >= 0:
         return None
     if abs(a) >= _MAX_RADIUS or abs(b) >= _MAX_RADIUS:

@@ -11,6 +11,7 @@ from diskgeom.errors import (
     CollinearPoints,
     EqualModuli,
     InvalidCyclicOrder,
+    NearBoundary,
     OutsideDisk,
 )
 from diskgeom.euclid import GenCircle
@@ -51,6 +52,13 @@ def test_rho_symmetric_and_zero_on_diagonal():
 def test_rho_outside_disk_raises():
     with pytest.raises(OutsideDisk):
         rho(0j, 1 + 0j)
+
+
+@pytest.mark.parametrize("y", [-0.5, -0.9999999999999999, 0.9999999999999999j])
+def test_rho_refuses_a_ratio_that_rounds_to_one(y):
+    # |x - y| / |1 - x conj(y)| rounds to 1.0 for x one ulp inside the circle
+    with pytest.raises(NearBoundary):
+        rho(0.9999999999999999, y)
 
 
 def test_mobius_T_maps_base_point_to_origin():

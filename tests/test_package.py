@@ -1,8 +1,12 @@
-"""Package-level checks: the public names, README's example and the imports."""
+"""Package-level checks: the public names, README's example, the imports and
+what importing loads."""
 
 import ast
 import doctest
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +73,32 @@ def test_module_has_no_unused_import(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_its_private_names(path):
     assert _unused_private_names(path) == []
+
+
+# Everything but a sample draw runs without numpy; the first draw loads it.
+_NUMPY_ON_FIRST_DRAW = """
+import contextlib, io, sys
+import diskgeom, diskgeom.cli
+from diskgeom import run_check, SampleSpec
+from diskgeom.configurations import eleven_points, family_report
+from diskgeom.figures import FIGURE_IDS, build_figure, figure_svg
+eleven_points(0.5, 0.7j)
+family_report(0.5, 0.7j)
+for fig_id in FIGURE_IDS:
+    figure_svg(build_figure(fig_id))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert diskgeom.cli.main(["points", "--a", "0.5", "--b", "0.7@1"]) == 0
+    assert diskgeom.cli.main(["figure", "--id", "6", "--format", "svg"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded before any sample draw"
+run_check("eleven_points", SampleSpec(count=1, seed=0))
+assert "numpy" in sys.modules, "a sample draw ran without numpy"
+"""
+
+
+def test_numpy_loads_on_the_first_sample_draw_only():
+    src = str(Path(diskgeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_ON_FIRST_DRAW], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -57,6 +57,14 @@ def test_stereographic_functions_take_points_of_any_finite_modulus():
                         rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("x, y, expected", [
+    (1e308, -1e308, 2e-308),                               # x - y is inf
+    (1.5e308, -1.5e308j, math.sqrt(2) / 1.5 * 1e-308),     # abs(x - y) overflows
+])
+def test_chordal_distance_of_points_whose_difference_overflows(x, y, expected):
+    assert math.isclose(chordal_distance(x, y), expected, rel_tol=1e-12)
+
+
 @given(polar_points(0.0, 5.0))
 def test_projection_round_trip_and_on_sphere(z):
     p = to_sphere(z)
