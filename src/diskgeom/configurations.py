@@ -7,21 +7,20 @@ family k_c ... v_c, and the p/q family each have two evaluation paths:
 synthetic intersections and closed forms, which must agree.
 
 One straight-line kernel per family (_line_family, _chordal_family,
-_pq_family) holds the closed forms over what _moduli computes once per pair,
-as does midpoint_from_moduli for m.  A kernel appends its points to one list,
-a degenerate point as its GeometryError instance, and returns the first such
-error: h_family raises it, family_report reports each.  Only p/q callers
-build conj(Q) (_conj_q); the synthetic paths stay independent of the
-kernels, except that the p/q path takes conj(Q) to pick between two roots.
+_pq_family) holds the closed forms over what _moduli computes once per pair.
+A kernel appends its points to one list, a degenerate point as its
+GeometryError instance, and returns the first such error: h_family raises
+it, family_report reports each.  The synthetic paths use no closed form.
+m is euclid's one midpoint formula, H_s / midpoint_denominator, at s = +1
+(the disk geodesic); s = -1 (the projected great circle) is chordal_midpoint.
 
 All eleven points of the combined family are real multiples of
-H = a(1-|b|^2) + b(1-|a|^2); p, q, p_c, q_c are positive real multiples of
-conj(Q) = b(1-|a|^2)^2 + a|a-b|(|1-conj(a)b| - |a-b|).
+H = H_{+1} = a(1-|b|^2) + b(1-|a|^2); p, q, p_c, q_c are positive real
+multiples of conj(Q) = b(1-|a|^2)^2 + a|a-b|(|1-conj(a)b| - |a-b|).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from itertools import combinations
 from typing import NamedTuple
@@ -35,8 +34,8 @@ from .errors import (
     OutsideDisk,
     ZeroPoint,
 )
-from .euclid import line_intersection
-from .hyperbolic import geodesic_endpoints, midpoint_from_moduli
+from .euclid import line_intersection, midpoint_denominator, midpoint_numerator
+from .hyperbolic import geodesic_endpoints
 from .spherical import gcis, gcis_roots, quadratic_error, quadratic_root
 
 _DENOM_TOL = 1e-12
@@ -108,12 +107,7 @@ def _moduli(a: complex, b: complex) -> tuple:
     ab = a * b.conjugate()
     a2, b2 = abs(a) ** 2, abs(b) ** 2
     return (ab.real, abs(a - b), abs(1 - ab), a2, b2, abs(a * b) ** 2,
-            a * (1 - b2) + b * (1 - a2))
-
-
-def _conj_q(a: complex, b: complex, mab: float, m1: float, a2: float) -> complex:
-    """conj(Q), the direction of p, q, p_c and q_c, from _moduli's values."""
-    return b * (1 - a2) ** 2 + a * mab * (m1 - mab)
+            midpoint_numerator(a, b, a2, b2, 1))
 
 
 def _quotients(names: str, nums: tuple, dens: tuple, out: list) -> GeometryError | None:
@@ -165,15 +159,16 @@ def _positive_multiple(roots: tuple[complex, complex], direction: complex) -> co
     return roots[1] if (roots[1] * d).real > (roots[0] * d).real else roots[0]
 
 
-def _pq_family(mab, m1, a2, b2, num: complex, out: list) -> GeometryError | None:
-    """Append p, q, p_c, q_c, positive real multiples of num = conj(Q), to out; p_c,
-    q_c are roots of Q z^2 -+ c1 z - conj(Q) = 0, which share one discriminant."""
+def _pq_family(a, b, mab, m1, a2, b2, out: list) -> GeometryError | None:
+    """Append p, q, p_c, q_c, positive real multiples of num = conj(Q), to out:
+    p_c, q_c are the roots (+-c1 + disc)/(2Q) of Q z^2 -+ c1 z - conj(Q) = 0 in
+    that direction, as disc = sqrt(c1^2 + 4|Q|^2) >= |c1| (q_c is mostly off the disk)."""
+    num = b * (1 - a2) ** 2 + a * mab * (m1 - mab)
     first = _quotients("pq", (num, num), ((1 - a2) ** 2 + a2 * mab * (m1 - mab),
                                           b2 * (1 - a2) ** 2 + mab * (m1 - mab)), out)
-    c2, c1 = num.conjugate(), (1 - a2) * m1 * (mab - m1)
-    disc, two_c2 = cmath.sqrt(c1 * c1 - 4 * c2 * -num), 2 * c2
-    out += [_positive_multiple(((c1 + disc) / two_c2, (c1 - disc) / two_c2), num),
-            _positive_multiple(((-c1 + disc) / two_c2, (-c1 - disc) / two_c2), num)]
+    c1, two_q = (1 - a2) * m1 * (mab - m1), 2 * num.conjugate()
+    disc = math.sqrt(c1 * c1 + 4 * (num.real * num.real + num.imag * num.imag))
+    out += [(c1 + disc) / two_q, (-c1 + disc) / two_q]
     return first
 
 
@@ -218,19 +213,18 @@ def pq_family(cfg: DiskConfig, path: str = "closed_form"
               ) -> tuple[complex, complex, complex, complex]:
     """Points p, q, p_c, q_c; all positive real multiples of conj(Q).
 
-    The chordal pair is selected among the quadratic (or GCIS) roots by that
-    direction: q_c generally lies outside the unit disk.
+    The synthetic path, which uses no closed form, picks the GCIS root on p's
+    (q's) chords that is a positive multiple of the line intersection p (q).
     """
-    if path not in ("closed_form", "synthetic"):
+    if path == "synthetic":
+        p, q = _chords(cfg)[5:]
+        p_pt, q_pt = line_intersection(*p), line_intersection(*q)
+        return (p_pt, q_pt, _positive_multiple(gcis_roots(*p), p_pt),
+                _positive_multiple(gcis_roots(*q), q_pt))
+    if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
     _, mab, m1, a2, b2, _, _ = _moduli(cfg.a, cfg.b)
-    num = _conj_q(cfg.a, cfg.b, mab, m1, a2)
-    if path == "closed_form":
-        return _points(_pq_family, mab, m1, a2, b2, num)
-    p, q = _chords(cfg)[5:]
-    return (line_intersection(*p), line_intersection(*q),
-            _positive_multiple(gcis_roots(*p), num),
-            _positive_multiple(gcis_roots(*q), num))
+    return _points(_pq_family, cfg.a, cfg.b, mab, m1, a2, b2)
 
 
 def collinearity_residual(points: list[complex]) -> float:
@@ -282,9 +276,9 @@ def family_report(a: complex, b: complex
     re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
     values = []
     _line_family(re, mab, m1, a2, b2, ab2, H, values)
-    values.append(midpoint_from_moduli(H, a2, b2, m1))
+    values.append(H / midpoint_denominator(a2, b2, m1, 1))
     _chordal_family(mab, m1, a2, b2, H, values)
-    _pq_family(mab, m1, a2, b2, _conj_q(a, b, mab, m1, a2), values)
+    _pq_family(a, b, mab, m1, a2, b2, values)
     for name, value in zip(_NAMES, [*values, H]):
         if isinstance(value, (DegenerateDenominator, NearBoundary)):
             statuses[name] = f"degenerate: {value}"
@@ -305,7 +299,7 @@ def h_family(a: complex, b: complex) -> tuple[list[complex], tuple]:
     moduli = re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
     points = []
     error = _line_family(re, mab, m1, a2, b2, ab2, H, points)
-    points.append(midpoint_from_moduli(H, a2, b2, m1))
+    points.append(H / midpoint_denominator(a2, b2, m1, 1))
     if error := error or _chordal_family(mab, m1, a2, b2, H, points):
         raise error
     return points, moduli
@@ -315,5 +309,5 @@ def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     """Full point family for (a, b) plus the collinearity residual of the
     eleven H-direction points with the origin."""
     points, (_, mab, m1, a2, b2, _, H) = h_family(a, b)
-    pq = _points(_pq_family, mab, m1, a2, b2, _conj_q(a, b, mab, m1, a2))
+    pq = _points(_pq_family, a, b, mab, m1, a2, b2)
     return PointFamily(*points, *pq, H), collinearity_residual([0j, *points])

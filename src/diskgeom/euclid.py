@@ -101,6 +101,18 @@ class GenCircle(NamedTuple):
         return abs(f) / (abs(self.A * z + self.B) + self._root())
 
 
+def midpoint_numerator(a: complex, b: complex, a2: float, b2: float, s: float) -> complex:
+    """H_s = a(1 - s|b|^2) + b(1 - s|a|^2), for a2 = |a|^2 and b2 = |b|^2."""
+    return a * (1 - s * b2) + b * (1 - s * a2)
+
+
+def midpoint_denominator(a2: float, b2: float, m1: float, s: float) -> float:
+    """H_s over this, m1 = |1 - s a conj(b)|, is the midpoint of a, b on
+    GenCircle.through(a, b, s): hyperbolic for s = +1, chordal for s = -1 (the
+    kappa-stereographic midpoint at kappa = -s; Bachmann et al., ICML 2020)."""
+    return 1 - a2 * b2 + m1 * math.sqrt((1 - s * a2) * (1 - s * b2))
+
+
 def line_intersection(a: complex, b: complex, c: complex, d: complex) -> complex:
     """Intersection point of the lines through (a,b) and (c,d)."""
     if a == b or c == d:

@@ -84,11 +84,6 @@ def hyperbolic_line(a: complex, b: complex) -> GenCircle:
     return GenCircle.through(a, b, +1)
 
 
-def midpoint_from_moduli(H: complex, a2: float, b2: float, m1: float) -> complex:
-    """Midpoint of disk points a != b from H, |a|^2, |b|^2 and m1 = |1 - a conj(b)|."""
-    return H / (1 - a2 * b2 + m1 * math.sqrt((1 - a2) * (1 - b2)))
-
-
 def hyperbolic_midpoint(x: complex, y: complex) -> complex:
     """The point m on the geodesic through x, y with rho(x,m) = rho(y,m)."""
     if abs(x) >= 1 or abs(y) >= 1:
@@ -96,7 +91,8 @@ def hyperbolic_midpoint(x: complex, y: complex) -> complex:
     if x == y:
         return x
     x2, y2 = abs(x) ** 2, abs(y) ** 2
-    return midpoint_from_moduli(y * (1 - x2) + x * (1 - y2), x2, y2, ahlfors_bracket(x, y))
+    return (euclid.midpoint_numerator(x, y, x2, y2, 1)
+            / euclid.midpoint_denominator(x2, y2, ahlfors_bracket(x, y), 1))
 
 
 def check_cyclic_order(points: tuple[complex, ...]) -> None:

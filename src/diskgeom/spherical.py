@@ -10,7 +10,7 @@ GenCircle forms, intersected by euclid.gencircle_intersection (gcis_roots).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import (
     AntipodalPair,
@@ -46,28 +46,26 @@ def to_sphere(z: complex) -> SpherePoint:
     """Stereographic image of a plane point (infinity -> north pole)."""
     if is_infinity(z):
         return SpherePoint(0.0, 0.0, 1.0)
-    r = abs(z)
-    h = math.hypot(1.0, r)   # sqrt(1 + |z|^2), finite for every finite z
+    try:
+        r = abs(z)
+    except OverflowError:    # finite parts, |z| above the range: 1 + |z|^2 is |z|^2
+        r = abs(z / 4)
+        return SpherePoint(z.real / r / r / 16, z.imag / r / r / 16, 1.0)
+    h = math.hypot(1.0, r)   # sqrt(1 + |z|^2), finite for every finite |z|
     return SpherePoint(z.real / h / h, z.imag / h / h, (r / h) ** 2)
 
 
 def chordal_distance(x: complex, y: complex) -> float:
     """Chordal metric: Euclidean distance of the stereographic images."""
     xinf, yinf = is_infinity(x), is_infinity(y)
-    if xinf and yinf:
-        return 0.0
-    if xinf:
-        return 1 / math.hypot(1.0, abs(y))
-    if yinf:
-        return 1 / math.hypot(1.0, abs(x))
-    hx, hy = math.hypot(1.0, abs(x)), math.hypot(1.0, abs(y))
     try:
-        d = abs(x - y)
-    except OverflowError:               # finite parts, modulus above the range
-        d = math.inf
-    if d < math.inf:
-        return d / hx / hy
-    return abs(x / hx / hy - y / hy / hx)   # |x - y| overflows: scale first
+        if xinf or yinf:
+            return 0.0 if xinf and yinf else 1 / math.hypot(1.0, abs(x if yinf else y))
+        if (d := abs(x - y)) < math.inf:
+            return d / math.hypot(1.0, abs(x)) / math.hypot(1.0, abs(y))
+    except OverflowError:       # finite parts, |x|, |y| or |x - y| above the range
+        pass
+    return math.dist(astuple(to_sphere(x)), astuple(to_sphere(y)))
 
 
 def antipodal(a: complex) -> complex:
@@ -158,12 +156,11 @@ def chordal_midpoint(a: complex, b: complex) -> complex:
     """Point whose sphere image bisects the minor arc between those of a, b."""
     if abs(a) >= 1 or abs(b) >= 1:
         raise OutsideDisk("chordal midpoint formula requires points in the disk")
-    den = abs(1 + a * b.conjugate()) \
-        * math.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2)) \
-        - abs(a * b) ** 2 + 1
+    a2, b2 = abs(a) ** 2, abs(b) ** 2
+    den = euclid.midpoint_denominator(a2, b2, abs(1 + a * b.conjugate()), -1)
     if abs(den) <= euclid.DEGENERACY_TOL:
         raise AntipodalPair("points are antipodal on the sphere")
-    return (a * (1 + abs(b) ** 2) + b * (1 + abs(a) ** 2)) / den
+    return euclid.midpoint_numerator(a, b, a2, b2, -1) / den
 
 
 def orthogonal_great_circle(a: complex, b: complex) -> GenCircle:

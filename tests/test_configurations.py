@@ -14,10 +14,13 @@ from diskgeom.errors import (
     DegenerateDenominator,
     GeometryError,
     NearBoundary,
+    NoRealIntersection,
     OutsideDisk,
+    ParallelLines,
     ZeroPoint,
 )
 from diskgeom.euclid import GenCircle, line_intersection, scale_of
+from diskgeom.spherical import gcis_roots
 from diskgeom import configurations
 from diskgeom.configurations import (
     PointFamily,
@@ -670,6 +673,89 @@ def test_midpoint_and_h_are_the_kernels_own(pts):
     _one_midpoint_and_one_h(a, b)
 
 
+def _old_pq_synthetic(cfg):
+    """The synthetic p/q path that picked each great-circle root by conj(Q)."""
+    d = _old_moduli(cfg.a, cfg.b)[-1].conjugate()
+
+    def pick(roots):
+        return roots[1] if (roots[1] * d).real > (roots[0] * d).real else roots[0]
+
+    p = (cfg.a, cfg.b_end, cfg.a_star, cfg.b)
+    q = (cfg.a, cfg.b_star, cfg.a_star, cfg.b_end)
+    return (line_intersection(*p), line_intersection(*q),
+            pick(gcis_roots(*p)), pick(gcis_roots(*q)))
+
+
+def _pairs_that_the_pq_paths_find_hard(count=100):
+    """Pairs with |a| or |b| in 1e-14 ... 1e-10, within 1e-12 ... 1e-10 of
+    collinear with 0, and with both |a| and |b| within 1e-12 ... 1e-2 of 1."""
+    rng = random.Random(20261019)
+
+    def point(r):
+        return cmath.rect(r, rng.uniform(0, 2 * math.pi))
+
+    def regular():
+        return point(rng.uniform(0.05, 0.95))
+
+    pairs = []
+    for _ in range(count):
+        a, b, tiny = regular(), regular(), 10.0 ** rng.uniform(-14, -10)
+        turn = math.pi * rng.randrange(2) \
+            + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -10)
+        pairs += [(a, point(tiny)), (point(tiny), b),
+                  (a, abs(b) * a / abs(a) * cmath.exp(1j * turn)),
+                  (point(1 - 10.0 ** rng.uniform(-12, -2)),
+                   point(1 - 10.0 ** rng.uniform(-12, -2)))]
+    return pairs
+
+
+def test_pq_synthetic_path_picks_roots_as_the_conj_q_pick_did():
+    kinds, differ = set(), 0
+    for a, b in _regular_and_near_pairs() + _pairs_that_the_pq_paths_find_hard():
+        try:
+            cfg = build_config(a, b)
+        except GeometryError:
+            continue
+        outcome = _outcome(lambda: pq_family(cfg, "synthetic"))
+        kinds.add(outcome[1] if outcome[0] == "error" else "value")
+        if repr(outcome) != repr(_outcome(lambda: _old_pq_synthetic(cfg))):
+            # With |a| and |b| both near 1 the float conj(Q) can point the
+            # wrong way; the picks differ only where the closed form refuses.
+            differ += 1
+            assert min(abs(a), abs(b)) > 0.98, (a, b)
+            with pytest.raises(DegenerateDenominator):
+                pq_family(cfg)
+    assert {"value", NoRealIntersection, ParallelLines} <= kinds
+    assert differ > 0
+
+
+# each map of the inputs, and how many PointFamily points follow it exactly:
+# all fifteen under the three maps of the plane, the eleven H-direction
+# points (which the swap leaves in place) under the swap
+_SYMMETRIES = {
+    "swap": (None, 11),
+    "conjugation": (complex.conjugate, 15),
+    "rotation by i": (lambda z: complex(-z.imag, z.real), 15),
+    "negation": (lambda z: -z, 15),
+}
+
+
+@pytest.mark.parametrize("symmetry", list(_SYMMETRIES))
+@given(st.tuples(polar_points(0.0, 0.999999), polar_points(0.0, 0.999999)))
+def test_eleven_points_are_exactly_equivariant(symmetry, pts):
+    a, b = pts
+    fn, count = _SYMMETRIES[symmetry]
+    moved = (b, a) if fn is None else (fn(a), fn(b))
+    before = _outcome(lambda: eleven_points(a, b)[0][:count])
+    after = _outcome(lambda: eleven_points(*moved)[0][:count])
+    if before[0] == "error":
+        assert after[:2] == before[:2], (a, b)
+    else:
+        expected = before[1] if fn is None else tuple(map(fn, before[1]))
+        # no tolerance; == and not repr, as an exact 0 may change its sign
+        assert after == ("value", expected), (a, b)
+
+
 def test_each_closed_form_is_written_once():
     sources = "".join(path.read_text(encoding="utf-8")
                       for path in Path(configurations.__file__).parent.glob("*.py"))
@@ -680,7 +766,9 @@ def test_each_closed_form_is_written_once():
                     "b2 * (1 - a2) ** 2 + mab * (m1 - mab)",      # q's denominator
                     "(1 - a2) * m1 * (mab - m1)",                 # p_c's, q_c's R
                     "sign * math.sqrt(R ** 2 + H2)",              # great-circle root
-                    "1 - a2 * b2 + m1 * math.sqrt((1 - a2) * (1 - b2))",  # m's denominator
+                    "a * (1 - s * b2) + b * (1 - s * a2)",        # H_s
+                    "1 - a2 * b2 + m1 * math.sqrt((1 - s * a2) * (1 - s * b2))",  # m's den.
+                    "(c1 + disc) / two_q",                        # p_c's single root
                     "line_intersection(g, h, a, c)"):             # conjecture point j
         assert sources.count(formula) == 1, formula
 

@@ -27,6 +27,8 @@ from diskgeom.spherical import (
     orthogonal_great_circle,
     to_sphere,
 )
+from diskgeom.euclid import DEGENERACY_TOL
+from diskgeom.verify import default_spec, sample_disk_pair
 
 from conftest import polar_points, well_separated
 
@@ -63,6 +65,20 @@ def test_stereographic_functions_take_points_of_any_finite_modulus():
 ])
 def test_chordal_distance_of_points_whose_difference_overflows(x, y, expected):
     assert math.isclose(chordal_distance(x, y), expected, rel_tol=1e-12)
+
+
+def test_stereographic_functions_take_points_whose_modulus_overflows():
+    # the parts of z fit a float but |z| = 2.1e308 does not: abs(z) raises
+    z = 1.5e308 + 1.5e308j
+    p = to_sphere(z)
+    assert math.isclose(p.xi, 1 / 3 * 1e-308, rel_tol=1e-12)    # Re z / |z|^2
+    assert p.eta == p.xi and p.zeta == 1.0
+    assert chordal_distance(z, 0j) == chordal_distance(0j, z) == 1.0
+    for x, y, expected in ((z, INFINITY, 4.714045207910317e-309),   # 1 / |z|
+                           (INFINITY, z, 4.714045207910317e-309),
+                           (z, -z, 9.428090415820634e-309),          # 2 / |z|
+                           (z, 1 + 1j, 0.5773502691896258)):         # 1 / sqrt(3)
+        assert math.isclose(chordal_distance(x, y), expected, rel_tol=1e-12), (x, y)
 
 
 @given(polar_points(0.0, 5.0))
@@ -232,6 +248,31 @@ def test_chordal_midpoint_radial_example():
 
 def test_chordal_midpoint_of_opposite_pair_is_origin():
     assert chordal_midpoint(0.4 + 0.1j, -0.4 - 0.1j) == 0j
+
+
+def _chordal_midpoint_terms_before_the_shared_formula(a, b):
+    """Numerator and denominator of chordal_midpoint's own former formula."""
+    den = abs(1 + a * b.conjugate()) \
+        * math.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2)) \
+        - abs(a * b) ** 2 + 1
+    return a * (1 + abs(b) ** 2) + b * (1 + abs(a) ** 2), den
+
+
+def test_chordal_midpoint_refuses_a_pair_within_rounding_of_antipodal():
+    # both denominators are 8.5e-13, under DEGENERACY_TOL
+    a, b = 1 - 1e-13, -(1 - 1e-13) + 1e-13j
+    assert abs(_chordal_midpoint_terms_before_the_shared_formula(a, b)[1]) \
+        <= DEGENERACY_TOL
+    with pytest.raises(AntipodalPair):
+        chordal_midpoint(a, b)
+
+
+def test_chordal_midpoint_agrees_with_its_former_formula():
+    spec = default_spec("chordal_midpoint", 2000, 8)
+    for i in range(spec.count):
+        a, b = sample_disk_pair(spec, i)
+        num, den = _chordal_midpoint_terms_before_the_shared_formula(a, b)
+        assert abs(chordal_midpoint(a, b) - num / den) <= 1e-14 * abs(num / den), (a, b)
 
 
 def test_chordal_midpoint_outside_disk_raises():

@@ -333,7 +333,7 @@ def test_run_check_draws_one_by_one_only_rejected_first_attempts_and_short_chunk
 
 
 # ---------------------------------------------------------------------------
-# known defects (ROADMAP item 1)
+# known defects (ROADMAP item 2)
 
 
 @pytest.mark.xfail(strict=True, reason="closed and synthetic paths of the line "
