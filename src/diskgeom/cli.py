@@ -69,7 +69,7 @@ def cmd_points(args: argparse.Namespace) -> int:
     except (ValueError, GeometryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    pq = [points[n] for n in ("p", "q", "p_c", "q_c") if n in points]
+    pq = [points[n] for n in ("p", "q", "p_c", "q_c")]
     report = {
         "input": {
             "a": {"cartesian": format_complex(a),
@@ -80,8 +80,7 @@ def cmd_points(args: argparse.Namespace) -> int:
         "points": {name: [z.real, z.imag] for name, z in points.items()},
         "status": statuses,
         "collinearity_residual_h_family": residual,
-        "collinearity_residual_pq": (
-            collinearity_residual([0j, *pq]) if len(pq) >= 2 else None),
+        "collinearity_residual_pq": collinearity_residual([0j, *pq]),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

@@ -8,15 +8,20 @@ synthetic intersections and closed forms, which must agree.
 
 One straight-line kernel per family (_line_family, _chordal_family,
 _pq_family) holds the closed forms over what _moduli computes once per pair.
-A kernel appends its points to one list, a degenerate point as its
-GeometryError instance, and returns the first such error: h_family raises
-it, family_report reports each.  The synthetic paths use no closed form.
+Only the line family can refuse: it appends its points to one list, a
+degenerate point as its GeometryError instance, and returns the first such
+error, which h_family raises and family_report reports per point.  The
+great-circle and p/q kernels divide by sums of positive terms and return
+their points.  The synthetic paths use no closed form.
 m is euclid's one midpoint formula, H_s / midpoint_denominator, at s = +1
 (the disk geodesic); s = -1 (the projected great circle) is chordal_midpoint.
 
 All eleven points of the combined family are real multiples of
 H = H_{+1} = a(1-|b|^2) + b(1-|a|^2); p, q, p_c, q_c are positive real
-multiples of conj(Q) = b(1-|a|^2)^2 + a|a-b|(|1-conj(a)b| - |a-b|).
+multiples of N = |a-b| H + |1-a conj(b)| (1-|a|^2) b, and q_c = 1/conj(p_c).
+The great-circle and p/q forms are written with
+m1^2 - mab^2 = (1-|a|^2)(1-|b|^2), m1 = |1-a conj(b)| and mab = |a-b|, so
+that they hold no difference m1 - mab, which cancels near the unit circle.
 """
 
 from __future__ import annotations
@@ -30,13 +35,12 @@ from .errors import (
     CollinearWithOrigin,
     DegenerateDenominator,
     GeometryError,
-    NearBoundary,
     OutsideDisk,
     ZeroPoint,
 )
 from .euclid import line_intersection, midpoint_denominator, midpoint_numerator
 from .hyperbolic import geodesic_endpoints
-from .spherical import gcis, gcis_roots, quadratic_error, quadratic_root
+from .spherical import gcis, gcis_roots, quadratic_root
 
 _DENOM_TOL = 1e-12
 _FAR = 2.0 ** 510                  # collinearity_residual's NaN bound on |z|
@@ -130,27 +134,17 @@ def _line_family(re, mab, m1, a2, b2, ab2, H: complex, out: list) -> GeometryErr
                        (2 - (a2 + b2)) * m1 - (1 - ab2) * mab), out)
 
 
-def _chordal_R(mab, m1, a2, b2) -> list:
-    """R of conj(H) z^2 + 2Rz - H = 0 for k_c ... v_c; k_c and v_c share R's numerator
-    and are refused when |a-b| is within rounding of |1 - a conj(b)| (|a| or |b| = 1)."""
-    num, gap = (1 - a2) * (1 - b2) * m1, mab - m1
-    if abs(gap) <= 1e-10:
-        kc = vc = NearBoundary("|a-b| within rounding of |1 - a conj(b)|")
-    else:
-        kc, vc = num / gap, num / (m1 - mab)
-    return [kc, m1 * (m1 - mab), m1 * gap, 0.0, vc]
+def _chordal_family(mab, m1, a2, b2, H: complex) -> list:
+    """k_c ... v_c, the roots of conj(H) z^2 + 2Rz - H = 0 in the closed disk.
 
-
-def _chordal_family(mab, m1, a2, b2, H: complex, out: list) -> GeometryError | None:
-    """Append k_c ... v_c, each quadratic's root in the closed disk, to out."""
-    H2, nonzero, first = abs(H) ** 2, H != 0, None
-    for R in _chordal_R(mab, m1, a2, b2):
-        if isinstance(R, float) and nonzero and math.isfinite(R):
-            out.append(quadratic_root(H, H2, R))
-        else:
-            out.append(R if isinstance(R, GeometryError) else quadratic_error(H, R))
-            first = first or out[-1]
-    return first
+    Their R are -+m1 sigma (k_c, v_c), +-m1 P / sigma (s_c, t_c) and 0 (u_c),
+    with P = (1-|a|^2)(1-|b|^2) and sigma = m1 + mab: the forms
+    P m1 / (mab - m1) and m1 (m1 - mab) rewritten by m1^2 - mab^2 = P, so
+    that nothing cancels.  R and -R give negated roots."""
+    H2 = abs(H) ** 2
+    kc = quadratic_root(H, H2, -m1 * (m1 + mab))
+    sc = quadratic_root(H, H2, m1 * ((1 - a2) * (1 - b2)) / (m1 + mab))
+    return [kc, sc, -sc, quadratic_root(H, H2, 0.0), -kc]
 
 
 def _positive_multiple(roots: tuple[complex, complex], direction: complex) -> complex:
@@ -159,17 +153,17 @@ def _positive_multiple(roots: tuple[complex, complex], direction: complex) -> co
     return roots[1] if (roots[1] * d).real > (roots[0] * d).real else roots[0]
 
 
-def _pq_family(a, b, mab, m1, a2, b2, out: list) -> GeometryError | None:
-    """Append p, q, p_c, q_c, positive real multiples of num = conj(Q), to out:
-    p_c, q_c are the roots (+-c1 + disc)/(2Q) of Q z^2 -+ c1 z - conj(Q) = 0 in
-    that direction, as disc = sqrt(c1^2 + 4|Q|^2) >= |c1| (q_c is mostly off the disk)."""
-    num = b * (1 - a2) ** 2 + a * mab * (m1 - mab)
-    first = _quotients("pq", (num, num), ((1 - a2) ** 2 + a2 * mab * (m1 - mab),
-                                          b2 * (1 - a2) ** 2 + mab * (m1 - mab)), out)
-    c1, two_q = (1 - a2) * m1 * (mab - m1), 2 * num.conjugate()
-    disc = math.sqrt(c1 * c1 + 4 * (num.real * num.real + num.imag * num.imag))
-    out += [(c1 + disc) / two_q, (-c1 + disc) / two_q]
-    return first
+def _pq_family(b, mab, m1, a2, b2, ab2, H: complex) -> list:
+    """p, q, p_c, q_c, positive real multiples of N = mab H + m1 (1-|a|^2) b.
+
+    p and q are N over sums of positive terms; p_c is the root of
+    conj(N) z^2 + m1 P z - N = 0 in the disk, and q_c, a root of the
+    quadratic with the negated roots, is 1/conj(p_c)."""
+    N = mab * H + m1 * (1 - a2) * b
+    pc = quadratic_root(N, N.real * N.real + N.imag * N.imag,
+                        m1 * ((1 - a2) * (1 - b2)) / 2)
+    return [N / (mab * (1 - ab2) + m1 * (1 - a2)),
+            N / (mab * (1 - ab2) + m1 * b2 * (1 - a2)), pc, 1 / pc.conjugate()]
 
 
 def _points(kernel, *args) -> tuple:
@@ -206,12 +200,12 @@ def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
     if path != "quadratic":
         raise ValueError(f"unknown path {path!r}")
     _, mab, m1, a2, b2, _, H = _moduli(cfg.a, cfg.b)
-    return _points(_chordal_family, mab, m1, a2, b2, H)
+    return tuple(_chordal_family(mab, m1, a2, b2, H))
 
 
 def pq_family(cfg: DiskConfig, path: str = "closed_form"
               ) -> tuple[complex, complex, complex, complex]:
-    """Points p, q, p_c, q_c; all positive real multiples of conj(Q).
+    """Points p, q, p_c, q_c; all positive real multiples of N.
 
     The synthetic path, which uses no closed form, picks the GCIS root on p's
     (q's) chords that is a positive multiple of the line intersection p (q).
@@ -223,8 +217,8 @@ def pq_family(cfg: DiskConfig, path: str = "closed_form"
                 _positive_multiple(gcis_roots(*q), q_pt))
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
-    _, mab, m1, a2, b2, _, _ = _moduli(cfg.a, cfg.b)
-    return _points(_pq_family, cfg.a, cfg.b, mab, m1, a2, b2)
+    _, mab, m1, a2, b2, ab2, H = _moduli(cfg.a, cfg.b)
+    return tuple(_pq_family(cfg.b, mab, m1, a2, b2, ab2, H))
 
 
 def collinearity_residual(points: list[complex]) -> float:
@@ -261,34 +255,29 @@ def collinearity_residual(points: list[complex]) -> float:
 
 
 def family_report(a: complex, b: complex
-                  ) -> tuple[dict[str, complex], dict[str, str], float | None]:
+                  ) -> tuple[dict[str, complex], dict[str, str], float]:
     """Every named point computed independently, with per-point status.
 
     Returns (points, statuses, residual): statuses map each name to "ok" or
-    the degeneracy message; residual is the collinearity residual of the
-    successfully computed H-family points with the origin (None when fewer
-    than two survive).
+    the degeneracy message of a line-family point; residual is the
+    collinearity residual of the H-family points it computed with the origin.
     """
     cfg = build_config(a, b)
     points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
               "a_end": cfg.a_end, "b_end": cfg.b_end}
     statuses = dict.fromkeys([*points, *_NAMES], "ok")
-    re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
+    moduli = _, mab, m1, a2, b2, ab2, H = _moduli(a, b)
     values = []
-    _line_family(re, mab, m1, a2, b2, ab2, H, values)
-    values.append(H / midpoint_denominator(a2, b2, m1, 1))
-    _chordal_family(mab, m1, a2, b2, H, values)
-    _pq_family(a, b, mab, m1, a2, b2, values)
-    for name, value in zip(_NAMES, [*values, H]):
-        if isinstance(value, (DegenerateDenominator, NearBoundary)):
+    _line_family(*moduli, values)
+    values += [H / midpoint_denominator(a2, b2, m1, 1), *_chordal_family(mab, m1, a2, b2, H),
+               *_pq_family(b, mab, m1, a2, b2, ab2, H), H]
+    for name, value in zip(_NAMES, values):
+        if isinstance(value, GeometryError):
             statuses[name] = f"degenerate: {value}"
-        elif isinstance(value, GeometryError):
-            raise value
         else:
             points[name] = value
     h_family = [points[n] for n in _H_FAMILY if n in points]
-    residual = collinearity_residual([0j, *h_family]) if len(h_family) >= 2 else None
-    return points, statuses, residual
+    return points, statuses, collinearity_residual([0j, *h_family])
 
 
 def h_family(a: complex, b: complex) -> tuple[list[complex], tuple]:
@@ -296,18 +285,14 @@ def h_family(a: complex, b: complex) -> tuple[list[complex], tuple]:
     raising the first degeneracy among them, and the _moduli values they
     were computed from."""
     _check_pair(a, b)
-    moduli = re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
-    points = []
-    error = _line_family(re, mab, m1, a2, b2, ab2, H, points)
-    points.append(H / midpoint_denominator(a2, b2, m1, 1))
-    if error := error or _chordal_family(mab, m1, a2, b2, H, points):
-        raise error
-    return points, moduli
+    moduli = _, mab, m1, a2, b2, _, H = _moduli(a, b)
+    return [*_points(_line_family, *moduli), H / midpoint_denominator(a2, b2, m1, 1),
+            *_chordal_family(mab, m1, a2, b2, H)], moduli
 
 
 def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     """Full point family for (a, b) plus the collinearity residual of the
     eleven H-direction points with the origin."""
-    points, (_, mab, m1, a2, b2, _, H) = h_family(a, b)
-    pq = _points(_pq_family, a, b, mab, m1, a2, b2)
-    return PointFamily(*points, *pq, H), collinearity_residual([0j, *points])
+    points, (_, mab, m1, a2, b2, ab2, H) = h_family(a, b)
+    return (PointFamily(*points, *_pq_family(b, mab, m1, a2, b2, ab2, H), H),
+            collinearity_residual([0j, *points]))

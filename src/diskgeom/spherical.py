@@ -16,7 +16,6 @@ from .errors import (
     AntipodalPair,
     CoincidentPoints,
     EqualModuli,
-    GeometryError,
     NearBoundary,
     NoRealIntersection,
     OutsideDisk,
@@ -127,28 +126,23 @@ def gencircle_from_pair_intersection(a: complex, b: complex, c: complex,
     return gcis(a, b, c, d)
 
 
-def quadratic_error(H: complex, R: float) -> GeometryError | None:
-    """Why conj(H) z^2 + 2 R z - H = 0 is refused (H = 0, R not finite), or None."""
-    if H == 0:
-        return CoincidentPoints("H must be nonzero")
-    return None if math.isfinite(R) else NearBoundary("R is not finite")
-
-
 def quadratic_root(H: complex, H2: float, R: float) -> complex:
-    """Root (-R + sign sqrt(R^2 + H2)) / H2 * H of conj(H) z^2 + 2 R z - H = 0
-    in the closed disk, H2 = |H|^2: the + root for R >= 0 (|z| = 1 iff R == 0,
-    where it is the positive multiple of H).  The other root is -1/conj(z)."""
-    sign = 1.0 if R >= 0 else -1.0
-    return (-R + sign * math.sqrt(R ** 2 + H2)) / H2 * H
+    """Root of conj(H) z^2 + 2 R z - H = 0 in the closed disk, H2 = |H|^2:
+    H / (R + sqrt(R^2 + H2)) for R >= 0 and H / (R - sqrt(R^2 + H2)) for
+    R < 0, so that R and the root add no cancellation (|z| = 1 iff R == 0,
+    where it is H/|H|).  The other root is -1/conj(z), and -R gives -z."""
+    s = math.sqrt(R * R + H2)
+    return H / (R + s) if R >= 0 else H / (R - s)
 
 
 def gcis_quadratic_solve(H: complex, R: float) -> complex:
-    """quadratic_root with its refusals (quadratic_error).  Held only because
-    perfbench/tracer.py traces this name; ROADMAP item 6's benchmark change
-    removes it."""
-    error = quadratic_error(H, R)
-    if error is not None:
-        raise error
+    """quadratic_root, refusing H = 0 and an R that is not finite.  Held only
+    because perfbench/tracer.py traces this name; ROADMAP item 6's benchmark
+    change removes it."""
+    if H == 0:
+        raise CoincidentPoints("H must be nonzero")
+    if not math.isfinite(R):
+        raise NearBoundary("R is not finite")
     return quadratic_root(H, abs(H) ** 2, R)
 
 
