@@ -135,12 +135,9 @@ def _line_family(re, mab, m1, a2, b2, ab2, H: complex, out: list) -> GeometryErr
 
 
 def _chordal_family(mab, m1, a2, b2, H: complex) -> list:
-    """k_c ... v_c, the roots of conj(H) z^2 + 2Rz - H = 0 in the closed disk.
-
-    Their R are -+m1 sigma (k_c, v_c), +-m1 P / sigma (s_c, t_c) and 0 (u_c),
-    with P = (1-|a|^2)(1-|b|^2) and sigma = m1 + mab: the forms
-    P m1 / (mab - m1) and m1 (m1 - mab) rewritten by m1^2 - mab^2 = P, so
-    that nothing cancels.  R and -R give negated roots."""
+    """k_c ... v_c, the roots of conj(H) z^2 + 2Rz - H = 0 in the closed disk
+    for R = -m1 sigma, m1 P / sigma, -m1 P / sigma, 0 and m1 sigma, with
+    P = (1-|a|^2)(1-|b|^2) and sigma = m1 + mab; -R gives the negated root."""
     H2 = abs(H) ** 2
     kc = quadratic_root(H, H2, -m1 * (m1 + mab))
     sc = quadratic_root(H, H2, m1 * ((1 - a2) * (1 - b2)) / (m1 + mab))

@@ -212,9 +212,8 @@ def test_pq_paths_agree_and_collinear_with_origin(pts):
 
 
 def test_pq_chordal_pair_has_no_cutoff_of_its_own_near_the_boundary():
-    # |a| near 1 took p's old denominator (1-|a|^2)^2 + ... below rounding;
-    # p's and q's denominators are now sums of positive terms, so all four
-    # points are returned and match the synthetic path
+    # |a| near 1: p's and q's denominators are sums of positive terms, so
+    # all four points are returned, and they match the synthetic path
     a = 0.971285102355175 - 0.23791857838940397j
     b = 0.04895685121867853 + 0.07952253489845575j
     cfg = build_config(a, b)
@@ -502,13 +501,6 @@ class _Dec:
         return _Dec(abs(self.imag) / (2 * t), t if self.imag >= 0 else -t)
 
 
-def _sqrt(x):
-    """math.sqrt of a float, cmath.sqrt of a complex, else x's own sqrt."""
-    if isinstance(x, float):
-        return math.sqrt(x)
-    return cmath.sqrt(x) if isinstance(x, complex) else x.sqrt()
-
-
 def _old_moduli(a, b):
     mab, m1, a2, b2 = abs(a - b), abs(1 - a * b.conjugate()), abs(a) ** 2, abs(b) ** 2
     return (a, b, mab, m1, a2, b2, abs(a * b) ** 2, a * (1 - b2) + b * (1 - a2),
@@ -536,7 +528,7 @@ def _old_quadratic(H, R):
 
 
 def _old_root(H, R, sign):
-    s = _sqrt(R ** 2 + abs(H) ** 2)
+    s = (R ** 2 + abs(H) ** 2).sqrt()
     return (-R + sign * s) / abs(H) ** 2 * H
 
 
@@ -549,11 +541,13 @@ def _old_solved(value):
 
 def _old_pq_chordal(num, a2, mab, m1, sign):
     c2, c1 = num.conjugate(), sign * ((1 - a2) * m1 * (mab - m1))
-    disc = _sqrt(c1 * c1 - 4 * c2 * -num)
+    disc = (c1 * c1 - 4 * c2 * -num).sqrt()
     roots = ((-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2))
     return max(roots, key=lambda z: (z * num.conjugate()).real)
 
 
+# The table's forms, over _old_moduli's values: floats for k ... v, m and H,
+# Decimal and _Dec for the great-circle and p/q entries (_references).
 _OLD_CLOSED_FORMS = {
     "k": lambda a, b, mab, m1, a2, b2, ab2, H, num: _old_checked_div(
         "k", (mab - m1) * H, (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
@@ -666,7 +660,7 @@ def test_kernels_match_the_closed_form_table_they_replaced():
 def _new_closed_forms(a, b, mab, m1, a2, b2, ab2, H, num):
     """The great-circle and p/q forms without m1 - mab, over _old_moduli."""
     def root(H, R):
-        s = _sqrt(R * R + abs(H) ** 2)
+        s = (R * R + abs(H) ** 2).sqrt()
         return H / (R + s) if R >= 0 else H / (R - s)
 
     P, sigma, N = (1 - a2) * (1 - b2), m1 + mab, mab * H + m1 * (1 - a2) * b
