@@ -13,8 +13,15 @@ degenerate point as its GeometryError instance, and returns the first such
 error, which h_family raises and family_report reports per point.  The
 great-circle and p/q kernels divide by sums of positive terms and return
 their points.  The synthetic paths use no closed form.
+
 m is euclid's one midpoint formula, H_s / midpoint_denominator, at s = +1
 (the disk geodesic); s = -1 (the projected great circle) is chordal_midpoint.
+
+The great-circle kernel returns its three distinct roots k_c, s_c, u_c; the
+callers that lay out PointFamily order write t_c = -s_c and v_c = -k_c.
+So the eleven H-direction points are nine distinct ones and two negations,
+and the H-family residual is taken over 0 and those nine: 36 pairs instead
+of 55, with the same value (see collinearity_residual).
 
 All eleven points of the combined family are real multiples of
 H = H_{+1} = a(1-|b|^2) + b(1-|a|^2); p, q, p_c, q_c are positive real
@@ -45,8 +52,8 @@ from .spherical import gcis, gcis_roots, quadratic_root
 _DENOM_TOL = 1e-12
 _FAR = 2.0 ** 510                  # collinearity_residual's NaN bound on |z|
 
-_H_FAMILY = ("k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c", "v_c")
-_NAMES = (*_H_FAMILY, "p", "q", "p_c", "q_c", "H")       # PointFamily order
+_NAMES = ("k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c", "v_c",
+          "p", "q", "p_c", "q_c", "H")                    # PointFamily order
 
 
 class DiskConfig(NamedTuple):
@@ -114,10 +121,17 @@ def _moduli(a: complex, b: complex) -> tuple:
             midpoint_numerator(a, b, a2, b2, 1))
 
 
-def _quotients(names: str, nums: tuple, dens: tuple, out: list) -> GeometryError | None:
-    """Append num / den to out, or DegenerateDenominator if den is within rounding of 0."""
+def _line_family(re, mab, m1, a2, b2, ab2, H: complex, out: list) -> GeometryError | None:
+    """Append k, s, t, u, v, real multiples of H, to out (re = Re(a conj(b))):
+    a point whose denominator is within rounding of 0 as its
+    DegenerateDenominator.  Return the first such error, or None."""
     first = None
-    for name, num, den in zip(names, nums, dens):
+    for name, num, den in (
+            ("k", (mab - m1) * H, (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
+            ("s", H, 2 - 2 * re - mab * m1),
+            ("t", H, 2 * re - 2 * ab2 + mab * m1),
+            ("u", H, 1 - ab2),
+            ("v", (m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab)):
         if abs(den) <= _DENOM_TOL:
             out.append(DegenerateDenominator(f"denominator of {name} vanishes"))
             first = first or out[-1]
@@ -126,22 +140,14 @@ def _quotients(names: str, nums: tuple, dens: tuple, out: list) -> GeometryError
     return first
 
 
-def _line_family(re, mab, m1, a2, b2, ab2, H: complex, out: list) -> GeometryError | None:
-    """Append k, s, t, u, v, real multiples of H, to out (re = Re(a conj(b)))."""
-    return _quotients("kstuv", ((mab - m1) * H, H, H, H, (m1 - mab) * H),
-                      ((1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1,
-                       2 - 2 * re - mab * m1, 2 * re - 2 * ab2 + mab * m1, 1 - ab2,
-                       (2 - (a2 + b2)) * m1 - (1 - ab2) * mab), out)
-
-
-def _chordal_family(mab, m1, a2, b2, H: complex) -> list:
-    """k_c ... v_c, the roots of conj(H) z^2 + 2Rz - H = 0 in the closed disk
-    for R = -m1 sigma, m1 P / sigma, -m1 P / sigma, 0 and m1 sigma, with
-    P = (1-|a|^2)(1-|b|^2) and sigma = m1 + mab; -R gives the negated root."""
+def _chordal_family(mab, m1, a2, b2, H: complex) -> tuple[complex, complex, complex]:
+    """k_c, s_c, u_c, the roots of conj(H) z^2 + 2Rz - H = 0 in the closed disk
+    for R = -m1 sigma, m1 P / sigma and 0, with P = (1-|a|^2)(1-|b|^2) and
+    sigma = m1 + mab.  t_c = -s_c and v_c = -k_c are the roots for -R."""
     H2 = abs(H) ** 2
-    kc = quadratic_root(H, H2, -m1 * (m1 + mab))
-    sc = quadratic_root(H, H2, m1 * ((1 - a2) * (1 - b2)) / (m1 + mab))
-    return [kc, sc, -sc, quadratic_root(H, H2, 0.0), -kc]
+    return (quadratic_root(H, H2, -m1 * (m1 + mab)),
+            quadratic_root(H, H2, m1 * ((1 - a2) * (1 - b2)) / (m1 + mab)),
+            quadratic_root(H, H2, 0.0))
 
 
 def _positive_multiple(roots: tuple[complex, complex], direction: complex) -> complex:
@@ -163,12 +169,12 @@ def _pq_family(b, mab, m1, a2, b2, ab2, H: complex) -> list:
             N / (mab * (1 - ab2) + m1 * b2 * (1 - a2)), pc, 1 / pc.conjugate()]
 
 
-def _points(kernel, *args) -> tuple:
-    """A kernel's points, after raising the first GeometryError among them."""
+def _line_points(*moduli) -> list:
+    """k, s, t, u, v, after raising the first DegenerateDenominator among them."""
     out = []
-    if error := kernel(*args, out):
+    if error := _line_family(*moduli, out):
         raise error
-    return tuple(out)
+    return out
 
 
 def _chords(cfg: DiskConfig) -> tuple:
@@ -186,7 +192,7 @@ def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
         return tuple([line_intersection(*chords) for chords in _chords(cfg)[:5]])
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
-    return _points(_line_family, *_moduli(cfg.a, cfg.b))
+    return tuple(_line_points(*_moduli(cfg.a, cfg.b)))
 
 
 def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
@@ -197,7 +203,8 @@ def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
     if path != "quadratic":
         raise ValueError(f"unknown path {path!r}")
     _, mab, m1, a2, b2, _, H = _moduli(cfg.a, cfg.b)
-    return tuple(_chordal_family(mab, m1, a2, b2, H))
+    kc, sc, uc = _chordal_family(mab, m1, a2, b2, H)
+    return kc, sc, -sc, uc, -kc
 
 
 def pq_family(cfg: DiskConfig, path: str = "closed_form"
@@ -225,6 +232,12 @@ def collinearity_residual(points: list[complex]) -> float:
     pairs i < j of |Im(r_i conj(r_j))| / max(1, |r_i| |r_j|): zero for
     exactly collinear points, dimensionless, and NaN when a point is NaN,
     infinite or has |z| >= 2**510, past which |r_i| |r_j| can overflow.
+
+    About z_0 = 0, adding -z for a listed z changes no bit of it: IEEE
+    negation is exact, so a pair with -z gives the same |Im(r_i conj(r_j))|
+    and |r_i| |r_j| as the pair with z, the pair (z, -z) gives exactly 0, and
+    -z has the same modulus.  So the eleven H-direction points, in which
+    t_c = -s_c and v_c = -k_c, have the residual of their nine distinct ones.
     """
     if len(points) < 2:
         raise ValueError("need at least two points")
@@ -236,8 +249,10 @@ def collinearity_residual(points: list[complex]) -> float:
             return math.nan
     except OverflowError:
         return math.nan
-    anchor = points[0]
-    rel = [(r.real, r.imag, abs(r)) for r in [z - anchor for z in points[1:]]]
+    anchor, rel = points[0], points[1:]
+    if anchor != 0:       # z - 0 is z up to the sign of a zero, which the scan ignores
+        rel = [z - anchor for z in rel]
+    rel = [(r.real, r.imag, abs(r)) for r in rel]
     worst = low = 0.0                   # low = -worst
     for (xi, yi, mi), (xj, yj, mj) in combinations(rel, 2):
         # Im(r_i conj(r_j)), up to its sign, in Python's complex product
@@ -257,33 +272,35 @@ def family_report(a: complex, b: complex
 
     Returns (points, statuses, residual): statuses map each name to "ok" or
     the degeneracy message of a line-family point; residual is the
-    collinearity residual of the H-family points it computed with the origin.
+    collinearity residual of the H-family points it computed with the origin,
+    taken over the distinct ones.
     """
     cfg = build_config(a, b)
     points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
               "a_end": cfg.a_end, "b_end": cfg.b_end}
     statuses = dict.fromkeys([*points, *_NAMES], "ok")
     moduli = _, mab, m1, a2, b2, ab2, H = _moduli(a, b)
-    values = []
-    _line_family(*moduli, values)
-    values += [H / midpoint_denominator(a2, b2, m1, 1), *_chordal_family(mab, m1, a2, b2, H),
-               *_pq_family(b, mab, m1, a2, b2, ab2, H), H]
-    for name, value in zip(_NAMES, values):
+    line = []
+    _line_family(*moduli, line)
+    kc, sc, uc = _chordal_family(mab, m1, a2, b2, H)
+    m = H / midpoint_denominator(a2, b2, m1, 1)
+    for name, value in zip(_NAMES, [*line, m, kc, sc, -sc, uc, -kc,
+                                    *_pq_family(b, mab, m1, a2, b2, ab2, H), H]):
         if isinstance(value, GeometryError):
             statuses[name] = f"degenerate: {value}"
         else:
             points[name] = value
-    h_family = [points[n] for n in _H_FAMILY if n in points]
-    return points, statuses, collinearity_residual([0j, *h_family])
+    line = [z for z in line if not isinstance(z, GeometryError)]
+    return points, statuses, collinearity_residual([0j, *line, m, kc, sc, uc])
 
 
 def h_family(a: complex, b: complex) -> tuple[list[complex], tuple]:
-    """The eleven H-direction points k ... v_c of (a, b) in PointFamily order,
-    raising the first degeneracy among them, and the _moduli values they
-    were computed from."""
+    """The nine distinct H-direction points k, s, t, u, v, m, k_c, s_c, u_c
+    of (a, b), raising the first degeneracy among them, and the _moduli
+    values they were computed from; t_c = -s_c and v_c = -k_c."""
     _check_pair(a, b)
     moduli = _, mab, m1, a2, b2, _, H = _moduli(a, b)
-    return [*_points(_line_family, *moduli), H / midpoint_denominator(a2, b2, m1, 1),
+    return [*_line_points(*moduli), H / midpoint_denominator(a2, b2, m1, 1),
             *_chordal_family(mab, m1, a2, b2, H)], moduli
 
 
@@ -291,5 +308,7 @@ def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     """Full point family for (a, b) plus the collinearity residual of the
     eleven H-direction points with the origin."""
     points, (_, mab, m1, a2, b2, ab2, H) = h_family(a, b)
-    return (PointFamily(*points, *_pq_family(b, mab, m1, a2, b2, ab2, H), H),
+    k, s, t, u, v, m, kc, sc, uc = points
+    return (PointFamily(k, s, t, u, v, m, kc, sc, -sc, uc, -kc,
+                        *_pq_family(b, mab, m1, a2, b2, ab2, H), H),
             collinearity_residual([0j, *points]))

@@ -16,6 +16,7 @@ from .errors import (
     OriginIntersection,
     OutsideDisk,
     PoleHit,
+    ZeroPoint,
 )
 from .euclid import (
     GenCircle,
@@ -27,6 +28,8 @@ from .euclid import (
 from . import euclid
 from .spherical import great_circle_projection
 
+_TINY = 2.0 ** -511    # |1/conj(z)|^2 = |z|^-2 is finite for |z| >= _TINY
+
 
 def ahlfors_bracket(x: complex, y: complex) -> float:
     """A[x,y] = |1 - x conj(y)|."""
@@ -37,7 +40,7 @@ def rho(x: complex, y: complex) -> float:
     """Hyperbolic distance in the unit disk.  A ratio |x - y| / A[x,y] that
     rounds to 1, possible only when |x| or |y| is within rounding of 1,
     raises NearBoundary."""
-    if abs(x) >= 1 or abs(y) >= 1:
+    if not (abs(x) < 1 and abs(y) < 1):         # a NaN coordinate fails too
         raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
     ratio = abs(x - y) / ahlfors_bracket(x, y)
     if ratio >= 1:
@@ -48,7 +51,7 @@ def rho(x: complex, y: complex) -> float:
 def mobius_T(a: complex, z: complex) -> complex:
     """T_a(z) = (z - a) / (1 - conj(a) z), the disk automorphism with
     T_a(a) = 0 and fixed points +-a/|a|."""
-    if abs(a) >= 1:
+    if not abs(a) < 1:
         raise OutsideDisk("|a| < 1 required")
     den = 1 - a.conjugate() * z
     if abs(den) <= 1e-15:
@@ -63,7 +66,7 @@ def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
     |b| is within rounding of 1, raises NearBoundary."""
     if a == b:
         raise CoincidentPoints("geodesic endpoints need distinct points")
-    if abs(a) >= 1 or abs(b) >= 1:
+    if not (abs(a) < 1 and abs(b) < 1):
         raise OutsideDisk("points must lie in the open disk")
     mab = abs(a - b)
     m1 = abs(1 - a * b.conjugate())
@@ -79,14 +82,14 @@ def hyperbolic_line(a: complex, b: complex) -> GenCircle:
     """Geodesic through two distinct points of the open disk: the curve
     through a, b and 1/conj(a), orthogonal to the unit circle, a diameter
     when a, b, 0 are collinear."""
-    if abs(a) >= 1 or abs(b) >= 1:
+    if not (abs(a) < 1 and abs(b) < 1):
         raise OutsideDisk("points must lie in the open disk")
     return GenCircle.through(a, b, +1)
 
 
 def hyperbolic_midpoint(x: complex, y: complex) -> complex:
     """The point m on the geodesic through x, y with rho(x,m) = rho(y,m)."""
-    if abs(x) >= 1 or abs(y) >= 1:
+    if not (abs(x) < 1 and abs(y) < 1):
         raise OutsideDisk("points must lie in the open disk")
     if x == y:
         return x
@@ -137,8 +140,14 @@ def midpoint_via_lens(a: complex, b: complex) -> complex:
     (1, 0, -1): their difference (0, B, 0) passes through both common points
     u, -u and through 0.  Every great circle meets the equator, so it always
     exists.  The circle comes from circumcenter, not GenCircle.through,
-    which loses accuracy as b approaches a.
+    which loses accuracy as b approaches a.  Both constructions square the
+    modulus of a reflection 1/conj(z), so a point with |z| < 2**-511, 0
+    included, is refused with ZeroPoint.
     """
+    if not (abs(a) < 1 and abs(b) < 1):
+        raise OutsideDisk("points must lie in the open disk")
+    if min(abs(a), abs(b)) < _TINY:
+        raise ZeroPoint("the lens construction needs |a|, |b| >= 2**-511")
     chord = GenCircle(0.0, great_circle_projection(a, 1 / b.conjugate()).B, 0.0)
     v = circumcenter(a, b, 1 / a.conjugate())
     target = GenCircle.circle(v, abs(a - v))

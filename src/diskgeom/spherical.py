@@ -148,7 +148,7 @@ def gcis_quadratic_solve(H: complex, R: float) -> complex:
 
 def chordal_midpoint(a: complex, b: complex) -> complex:
     """Point whose sphere image bisects the minor arc between those of a, b."""
-    if abs(a) >= 1 or abs(b) >= 1:
+    if not (abs(a) < 1 and abs(b) < 1):
         raise OutsideDisk("chordal midpoint formula requires points in the disk")
     a2, b2 = abs(a) ** 2, abs(b) ** 2
     den = euclid.midpoint_denominator(a2, b2, abs(1 + a * b.conjugate()), -1)

@@ -320,7 +320,7 @@ def midpoint_oracle(x: complex, y: complex) -> complex:
         return x
     yp = mobius_T(x, y)
     ayp, ypc = abs(yp), yp.conjugate()
-    if ayp >= 1:
+    if not ayp < 1:
         raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
     u = yp / ayp
     lo, hi = 0.0, ayp
@@ -330,7 +330,7 @@ def midpoint_oracle(x: complex, y: complex) -> complex:
             break
         w = mid * u
         aw = abs(w)
-        if aw >= 1:
+        if not aw < 1:
             raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
         if math.atanh(aw) < math.atanh(abs(w - yp) / abs(1 - w * ypc)):
             lo = mid
@@ -395,7 +395,8 @@ def _residual_five_points_chordal(sample: Sequence[complex]) -> float:
 
 
 def _residual_eleven_points(sample: Sequence[complex]) -> float:
-    """eleven_points(a, b)[1] without p/q, which it does not read.
+    """eleven_points(a, b)[1] without p/q, which it does not read: the
+    residual over 0 and h_family's nine distinct points.
 
     That changes no skip count, as the p/q kernel never refuses: its
     denominators are sums of positive terms."""

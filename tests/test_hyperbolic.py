@@ -13,6 +13,7 @@ from diskgeom.errors import (
     InvalidCyclicOrder,
     NearBoundary,
     OutsideDisk,
+    ZeroPoint,
 )
 from diskgeom.euclid import GenCircle
 from diskgeom.hyperbolic import (
@@ -28,6 +29,8 @@ from diskgeom.hyperbolic import (
     mobius_T,
     rho,
 )
+from diskgeom.spherical import chordal_midpoint
+from diskgeom.verify import midpoint_oracle
 
 from conftest import polar_points, unit_circle_points, well_separated
 
@@ -59,6 +62,28 @@ def test_rho_refuses_a_ratio_that_rounds_to_one(y):
     # |x - y| / |1 - x conj(y)| rounds to 1.0 for x one ulp inside the circle
     with pytest.raises(NearBoundary):
         rho(0.9999999999999999, y)
+
+
+_NAN = [complex(math.nan, 0.1), complex(0.1, math.nan)]
+
+
+@pytest.mark.parametrize("fn", [rho, geodesic_endpoints, hyperbolic_line,
+                                hyperbolic_midpoint, midpoint_via_lens,
+                                chordal_midpoint, midpoint_oracle],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("nan", _NAN)
+@pytest.mark.parametrize("swap", [False, True])
+def test_nan_coordinate_is_refused_as_outside_disk(fn, nan, swap):
+    # abs(z) >= 1 is False for a NaN coordinate; each guard reads not < 1
+    a, b = (0.3j, nan) if swap else (nan, 0.3j)
+    with pytest.raises(OutsideDisk):
+        fn(a, b)
+
+
+@pytest.mark.parametrize("nan", _NAN)
+def test_mobius_T_refuses_a_nan_base_point(nan):
+    with pytest.raises(OutsideDisk):
+        mobius_T(nan, 0.3j)
 
 
 def test_mobius_T_maps_base_point_to_origin():
@@ -192,6 +217,30 @@ def test_midpoint_via_lens_keeps_its_accuracy_as_b_approaches_a(a):
         assert abs(midpoint_via_lens(a, b) - hyperbolic_midpoint(a, b)) <= 1e-14
     with pytest.raises(CollinearPoints):
         midpoint_via_lens(a, a + 1e-12 * cmath.exp(0.7j))
+
+
+@pytest.mark.parametrize("a,b,error", [
+    (0.5, 0j, ZeroPoint), (0j, 0.5, ZeroPoint),                  # were ZeroDivisionError
+    (0.3 + 0.1j, 1e-160j, ZeroPoint), (1e-300j, 0.3 + 0.1j, ZeroPoint),  # were OverflowError
+    (0.3 + 0.1j, 1e-300j, ZeroPoint),
+    (1.5, 0.3j, OutsideDisk),                                    # was NoRealIntersection
+    (complex(math.nan, 0.1), 0.3j, OutsideDisk),                 # was DegenerateInput
+])
+def test_midpoint_via_lens_validates_its_inputs_first(a, b, error):
+    with pytest.raises(error):
+        midpoint_via_lens(a, b)
+
+
+@pytest.mark.parametrize("b", [0.3 + 0.1j, -0.7 + 0.2j, 0.9j])
+def test_midpoint_via_lens_gives_a_point_or_a_typed_error_for_tiny_points(b):
+    # magnitudes on both sides of the ZeroPoint cutoff 2**-511, on either side
+    for e in range(-540, -99):
+        tiny = 2.0 ** e * cmath.exp(1j * (e % 7))
+        for pair in ((b, tiny), (tiny, b)):
+            try:
+                midpoint_via_lens(*pair)
+            except (CollinearPoints, ZeroPoint):
+                pass
 
 
 def test_midpoint_via_inversion_equal_moduli_raises():
