@@ -233,7 +233,7 @@ def test_midpoint_via_lens_validates_its_inputs_first(a, b, error):
 
 @pytest.mark.parametrize("b", [0.3 + 0.1j, -0.7 + 0.2j, 0.9j])
 def test_midpoint_via_lens_gives_a_point_or_a_typed_error_for_tiny_points(b):
-    # magnitudes on both sides of the ZeroPoint cutoff 2**-511, on either side
+    # |z| from 2**-540 to 2**-100, across the ZeroPoint cutoff 2**-511, as a and as b
     for e in range(-540, -99):
         tiny = 2.0 ** e * cmath.exp(1j * (e % 7))
         for pair in ((b, tiny), (tiny, b)):
