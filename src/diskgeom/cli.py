@@ -34,6 +34,7 @@ from .verify import (
     CHECKS,
     conjecture_inputs,
     default_spec,
+    run_all,
     run_check,
     sample_circle_quadruple,
 )
@@ -101,20 +102,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error(f"--samples must be >= 1, got {args.samples}")
     if args.tol is not None and not args.tol >= 0:
         return _usage_error(f"--tol must be >= 0, got {args.tol}")
-    reports = []
-    all_passed = True
-    for tid in ids:
-        report = run_check(tid, default_spec(tid, args.samples, args.seed), args.tol)
-        reports.append(report.to_dict())
+    reports = run_all(args.samples, args.seed, args.tol, ids)
+    for report in reports:
         flag = "PASS" if report.passed else "FAIL"
-        print(f"{flag} {tid}: max_residual={report.max_residual:.3e} "
+        print(f"{flag} {report.theorem_id}: max_residual={report.max_residual:.3e} "
               f"tol={report.tolerance:.1e} "
               f"({report.evaluated}/{report.requested} samples)")
-        all_passed = all_passed and report.passed
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(reports, fh, indent=2)
-    return 0 if all_passed else 1
+            json.dump([report.to_dict() for report in reports], fh, indent=2)
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:

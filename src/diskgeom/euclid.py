@@ -72,13 +72,14 @@ class GenCircle(NamedTuple):
         """
         if a == b:
             raise CoincidentPoints("a curve through a, b needs a != b")
-        a2, b2 = abs(a) ** 2, abs(b) ** 2
+        ra, rb = abs(a), abs(b)
+        a2, b2 = ra ** 2, rb ** 2
         A = 2 * (b * a.conjugate()).imag
         B = 1j * (b * (s + a2) - a * (s + b2))
         # For b = s/conj(a) rounded to a float, A and B are not exactly 0 but
         # the rounding error of their products, a few ulps of this operand
         # scale; the curve they span is noise, so refuse it like exact 0.
-        if abs(A) + abs(B) <= 4 * 2 ** -52 * (abs(b) * (1 + a2) + abs(a) * (1 + b2)):
+        if abs(A) + abs(B) <= 4 * 2 ** -52 * (rb * (1 + a2) + ra * (1 + b2)):
             raise AntipodalPair("b = s/conj(a) lies on every curve of the family")
         return cls(A, B, s * A)
 
@@ -146,24 +147,26 @@ def gencircle_intersection(g1: GenCircle, g2: GenCircle
     the points are the roots of G along L.  Two lines (A1 = A2 = 0, which
     atan2 maps to angle 0) meet at one finite point and at INFINITY.
     """
-    theta = math.atan2(g2.A, g1.A)
+    A1, B1, C1 = g1
+    A2, B2, C2 = g2
+    theta = math.atan2(A2, A1)
     c, s = math.cos(theta), math.sin(theta)
-    bl, cl = s * g1.B - c * g2.B, s * g1.C - c * g2.C
-    a, bg, cg = c * g1.A + s * g2.A, c * g1.B + s * g2.B, c * g1.C + s * g2.C
+    bl, cl = s * B1 - c * B2, s * C1 - c * C2
+    a, bgc, cg = c * A1 + s * A2, (c * B1 + s * B2).conjugate(), c * C1 + s * C2
     nl = abs(bl)
-    if nl <= DEGENERACY_TOL * (abs(s * g1.B) + abs(c * g2.B)):
+    if nl <= DEGENERACY_TOL * (abs(s * B1) + abs(c * B2)):
         raise ConcentricCircles("the circles are concentric or coincide")
     n = bl / nl                    # unit normal of L
     p = -cl / (2 * nl) * n         # foot of the perpendicular from 0 to L
     u = 1j * n                     # z = p + t u runs along L
-    # G(p + t u) = a t^2 + 2 h t + k
-    h = (bg.conjugate() * u).real
-    k = a * abs(p) ** 2 + 2 * (bg.conjugate() * p).real + cg
+    # G(p + t u) = a t^2 + 2 h t + k, with bgc = conj(B) of G
+    h = (bgc * u).real
+    k = a * abs(p) ** 2 + 2 * (bgc * p).real + cg
     disc = h * h - a * k
     if disc < -IDENTITY_TOL * (h * h + abs(a * k)):
         return None
     q = -(h + math.copysign(math.sqrt(max(disc, 0.0)), h))
-    if a == 0 and abs(q) <= DEGENERACY_TOL * abs(bg):
+    if a == 0 and abs(q) <= DEGENERACY_TOL * abs(bgc):
         raise ParallelLines("the lines are parallel or coincide")
     if q == 0:                     # L touches G at p
         return p, p

@@ -103,12 +103,14 @@ def gcis(a: complex, b: complex, c: complex, d: complex) -> complex:
     When both roots lie on the unit circle, the root on the same side as the
     Euclidean line intersection of the two defining chords is returned.
     """
-    inside = [z for z in gcis_roots(a, b, c, d) if abs(z) <= 1 + 1e-12]
-    if not inside:
-        raise NoRealIntersection("no root in the closed unit disk")
-    if len(inside) == 1:
-        return inside[0]
-    return min(inside, key=lambda z: abs(z - _tiebreak_reference(a, b, c, d)))
+    z1, z2 = gcis_roots(a, b, c, d)
+    in1, in2 = abs(z1) <= 1 + 1e-12, abs(z2) <= 1 + 1e-12    # False for NaN
+    if in1 and in2:               # on a tie, or a NaN distance, the first root
+        ref = _tiebreak_reference(a, b, c, d)
+        return z2 if abs(z2 - ref) < abs(z1 - ref) else z1
+    if in1 or in2:
+        return z1 if in1 else z2
+    raise NoRealIntersection("no root in the closed unit disk")
 
 
 def _tiebreak_reference(a: complex, b: complex, c: complex, d: complex) -> complex:

@@ -10,14 +10,21 @@ evaluation order, and each sample starts a block of 2**128 counter values
 of its own.  Each sampler is one attempt function in ``_ATTEMPTS``, which
 reads a window of uniforms and accepts or rejects it; ``_retry``, the one
 retry loop, slides that window along the sample's stream until an attempt
-accepts.  ``sample_*`` is the single-index form of each sampler;
-``run_check`` reads the same stream a chunk of samples at a time, drawing
-every sample's first attempt in one vectorized Philox pass and handing a
-sample whose first attempt is rejected to ``sample_*``, which replays it
-from its start; a chunk of fewer than ``_MIN_CHUNK`` samples is drawn by
-``sample_*`` alone.  Samples that hit a degenerate configuration raise a
-GeometryError and are counted as skipped; a run fails with
-SamplerStarvation when fewer than 90% of the requested samples survive.
+accepts.  ``sample_*`` is the single-index form of each sampler.
+
+``run_all`` and ``run_check`` are one evaluation engine, ``_run``.  It
+groups the requested checks by their stream, a (sampler, SampleSpec)
+pair, and draws each stream once per run, a chunk of at most ``_CHUNK``
+samples at a time: every sample's first attempt in one vectorized Philox
+pass, and a sample whose first attempt is rejected by ``sample_*``, which
+replays it from its start; a chunk of fewer than ``_MIN_CHUNK`` samples is
+drawn by ``sample_*`` alone.  Every check of the stream then scans the
+chunk with its own running statistics, in sample order, so a report is the
+same whichever checks share its stream.  The chunk is dropped before the
+next one is drawn: nothing drawn outlives the run.  Samples that hit a
+degenerate configuration raise a GeometryError and are counted as skipped;
+a run fails with SamplerStarvation when fewer than 90% of a check's
+requested samples survive.
 
 numpy serves only the Philox stream, so it is imported by the two functions
 that draw from it, on the first draw; importing this module, and with it
@@ -31,10 +38,11 @@ import math
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     GeometryError,
+    NearBoundary,
     OutsideDisk,
     PointOutsideDisk,
     SamplerStarvation,
@@ -84,7 +92,12 @@ class SampleSpec:
 
 @dataclass
 class VerificationReport:
-    """Residual statistics of one randomized check."""
+    """Residual statistics of one randomized check.
+
+    ``wall_time_s`` is the check's own evaluation time plus an equal share
+    of the time spent drawing its stream, which every check of the run that
+    reads the same stream splits; every other field depends on the check,
+    its SampleSpec and the tolerance alone."""
 
     theorem_id: str
     sampler: str
@@ -127,7 +140,7 @@ def _rng(spec: SampleSpec, index: int) -> "numpy.random.Generator":
     return rng
 
 
-_CHUNK = 1024                     # samples per vectorized draw in run_check
+_CHUNK = 1024                     # samples per vectorized draw of a stream
 # A shorter chunk is drawn one sample at a time: a vectorized draw costs
 # ~0.2 ms however few samples it covers, and saves that over re-keying one
 # generator per sample only above ~100-200 samples (measured on all three
@@ -286,26 +299,34 @@ SAMPLERS: dict[str, Callable] = {
 }
 
 
-def _samples(spec: SampleSpec, sampler: str) -> Iterator[tuple]:
-    """Samples 0 .. count-1 of ``spec``, equal to ``SAMPLERS[sampler]``'s.
-    First attempts are drawn a chunk at a time; a sample whose first attempt
-    is rejected, or whose chunk is too small to vectorize, is drawn by the
-    scalar sampler from its start."""
+def _draw_chunk(spec: SampleSpec, sampler: str, begin: int, end: int) -> list[tuple]:
+    """Samples begin .. end-1 of ``spec``, equal to ``SAMPLERS[sampler]``'s.
+    First attempts are drawn in one vectorized pass; a sample whose first
+    attempt is rejected, or whose chunk is too small to vectorize, is drawn
+    by the scalar sampler from its start."""
     draw = SAMPLERS[sampler]
+    if end - begin < _MIN_CHUNK:
+        return [draw(spec, i) for i in range(begin, end)]
     _, words, attempt = _ATTEMPTS[sampler]
-    for begin in range(0, spec.count, _CHUNK):
-        end = min(begin + _CHUNK, spec.count)
-        if end - begin < _MIN_CHUNK:
-            for i in range(begin, end):
-                yield draw(spec, i)
-            continue
-        for i, u in enumerate(_first_uniforms(spec.seed, begin, end, words), begin):
-            sample = attempt(spec, u)
-            yield draw(spec, i) if sample is None else sample
+    samples = []
+    for i, u in enumerate(_first_uniforms(spec.seed, begin, end, words), begin):
+        sample = attempt(spec, u)
+        samples.append(draw(spec, i) if sample is None else sample)
+    return samples
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+
+# midpoint_oracle refuses a pair whose straightened end T_x(y) has
+# 1 - |T_x(y)| below this: the rounding of |T_x(y)| then carries into the
+# midpoint.  Against 60-digit mpmath midpoints of pairs near the unit circle,
+# the oracle was off by at most 4.5e-11 over 20,000 pairs with 1 - |T_x(y)|
+# in [1e-6, 1e-5), and by up to 2.1e-10 in [1e-7, 1e-6) and 1.5e-9 in
+# [1e-8, 1e-7), beyond its check's 1e-9; at 1.1e-16 some pairs raised a
+# bare ValueError.  The samplers' |x|, |y| <= 0.95 keep it above 1.3e-3.
+_ORACLE_MIN_GAP = 1e-6
 
 
 def midpoint_oracle(x: complex, y: complex) -> complex:
@@ -315,13 +336,16 @@ def midpoint_oracle(x: complex, y: complex) -> complex:
     0 - w is -w and |1 - 0 conj(w)| is 1.0; halving both sides of
     rho(0, w) < rho(w, yp) is exact, so the test compares the two atanh.
     Stopping once mid is lo or hi keeps the 100-step result: each later step
-    keeps (lo, hi) or moves the other end onto mid, so 0.5 * (lo + hi) stays mid."""
+    keeps (lo, hi) or moves the other end onto mid, so 0.5 * (lo + hi) stays mid.
+    A yp with 1 - |yp| < _ORACLE_MIN_GAP raises NearBoundary."""
     if x == y:
         return x
     yp = mobius_T(x, y)
     ayp, ypc = abs(yp), yp.conjugate()
     if not ayp < 1:
         raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
+    if 1 - ayp < _ORACLE_MIN_GAP:
+        raise NearBoundary(f"1 - |T_x(y)| = {1 - ayp:.3g} is below {_ORACLE_MIN_GAP:g}")
     u = yp / ayp
     lo, hi = 0.0, ayp
     for _ in range(100):
@@ -388,10 +412,12 @@ def _residual_five_points_chordal(sample: Sequence[complex]) -> float:
     a, b = sample
     cfg = build_config(a, b)
     via_gcis = five_points_chordal(cfg, path="gcis")
-    via_quad = five_points_chordal(cfg, path="quadratic")
-    agreement = max(abs(x - y) / scale_of(x, y)
+    via_quad = kc, sc, _, uc, _ = five_points_chordal(cfg, path="quadratic")
+    # scale_of(x, y), inlined
+    agreement = max(abs(x - y) / max(1.0, abs(x), abs(y))
                     for x, y in zip(via_gcis, via_quad))
-    return max(agreement, collinearity_residual([0j, *via_quad]))
+    # t_c = -s_c and v_c = -k_c add no bit to the residual about 0
+    return max(agreement, collinearity_residual([0j, kc, sc, uc]))
 
 
 def _residual_eleven_points(sample: Sequence[complex]) -> float:
@@ -541,12 +567,18 @@ CHECKS: dict[str, _Check] = {
                          assertive=False),
 }
 
-def default_spec(theorem_id: str, count: int, seed: int) -> SampleSpec:
-    """SampleSpec of ``count`` samples with the check's moduli margin."""
+
+def _check(theorem_id: str) -> _Check:
     check = CHECKS.get(theorem_id)
     if check is None:
         raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
-    return SampleSpec(count=count, seed=seed, moduli_margin=check.moduli_margin)
+    return check
+
+
+def default_spec(theorem_id: str, count: int, seed: int) -> SampleSpec:
+    """SampleSpec of ``count`` samples with the check's moduli margin."""
+    return SampleSpec(count=count, seed=seed,
+                      moduli_margin=_check(theorem_id).moduli_margin)
 
 
 def _flatten_input(sample: Sequence) -> list[list[float]]:
@@ -557,50 +589,91 @@ def _flatten_input(sample: Sequence) -> list[list[float]]:
     return out
 
 
+class _Tally:
+    """One check's running statistics over its stream, in sample order."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+        self.max_res, self.sum_res = 0.0, 0.0
+        self.worst: Sequence = ()
+        self.evaluated = self.skipped = 0
+        self.seconds = 0.0
+
+    def scan(self, samples: list[tuple]) -> None:
+        start = time.perf_counter()
+        fn, max_res, sum_res, worst = self.fn, self.max_res, self.sum_res, self.worst
+        evaluated = skipped = 0
+        for sample in samples:
+            try:
+                r = fn(sample)
+            except GeometryError:
+                skipped += 1
+                continue
+            evaluated += 1
+            sum_res += r
+            if r >= max_res or math.isnan(r):    # a NaN stays the max once seen
+                max_res, worst = r, sample
+        self.max_res, self.sum_res, self.worst = max_res, sum_res, worst
+        self.evaluated += evaluated
+        self.skipped += skipped
+        self.seconds += time.perf_counter() - start
+
+
+def _run(jobs: Sequence[tuple[str, SampleSpec]], tol: float | None
+         ) -> list[VerificationReport]:
+    """The reports of the (theorem id, spec) ``jobs``, in their order.  Each
+    distinct (sampler, spec) stream is drawn once, a chunk at a time, and
+    every job that reads it scans each chunk before the next is drawn."""
+    checks = [_check(theorem_id) for theorem_id, _ in jobs]
+    tallies = [_Tally(check.fn) for check in checks]
+    streams: dict[tuple[str, SampleSpec], list[_Tally]] = {}
+    for (_, spec), check, tally in zip(jobs, checks, tallies):
+        streams.setdefault((check.sampler, spec), []).append(tally)
+    for (sampler, spec), readers in streams.items():
+        for begin in range(0, spec.count, _CHUNK):
+            start = time.perf_counter()
+            samples = _draw_chunk(spec, sampler, begin, min(begin + _CHUNK, spec.count))
+            share = (time.perf_counter() - start) / len(readers)
+            for tally in readers:
+                tally.seconds += share
+                tally.scan(samples)
+    for (theorem_id, spec), tally in zip(jobs, tallies):
+        if tally.evaluated < 0.9 * spec.count:
+            raise SamplerStarvation(
+                f"only {tally.evaluated}/{spec.count} samples survived for {theorem_id}")
+    reports = []
+    for (theorem_id, spec), check, tally in zip(jobs, checks, tallies):
+        check_tol = check.default_tol if tol is None else tol
+        reports.append(VerificationReport(
+            theorem_id=theorem_id,
+            sampler=check.sampler,
+            requested=spec.count,
+            evaluated=tally.evaluated,
+            skipped=tally.skipped,
+            seed=spec.seed,
+            tolerance=check_tol,
+            max_residual=tally.max_res,
+            mean_residual=tally.sum_res / tally.evaluated,
+            worst_input=_flatten_input(tally.worst),
+            passed=math.isfinite(tally.max_res)
+            and (tally.max_res <= check_tol or not check.assertive),
+            assertive=check.assertive,
+            wall_time_s=tally.seconds,
+        ))
+    return reports
+
+
 def run_check(theorem_id: str, spec: SampleSpec,
               tol: float | None = None) -> VerificationReport:
     """Run one randomized check and aggregate residual statistics."""
-    check = CHECKS.get(theorem_id)
-    if check is None:
-        raise UnknownTheorem(f"unknown theorem id {theorem_id!r}")
-    if tol is None:
-        tol = check.default_tol
-    start = time.perf_counter()
-    max_res, sum_res = 0.0, 0.0
-    worst: Sequence = ()
-    evaluated = skipped = 0
-    for sample in _samples(spec, check.sampler):
-        try:
-            r = check.fn(sample)
-        except GeometryError:
-            skipped += 1
-            continue
-        evaluated += 1
-        sum_res += r
-        if r >= max_res or math.isnan(r):    # a NaN stays the max once seen
-            max_res, worst = r, sample
-    if evaluated < 0.9 * spec.count:
-        raise SamplerStarvation(
-            f"only {evaluated}/{spec.count} samples survived for {theorem_id}")
-    return VerificationReport(
-        theorem_id=theorem_id,
-        sampler=check.sampler,
-        requested=spec.count,
-        evaluated=evaluated,
-        skipped=skipped,
-        seed=spec.seed,
-        tolerance=tol,
-        max_residual=max_res,
-        mean_residual=sum_res / evaluated,
-        worst_input=_flatten_input(worst),
-        passed=math.isfinite(max_res) and (max_res <= tol or not check.assertive),
-        assertive=check.assertive,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return _run([(theorem_id, spec)], tol)[0]
 
 
-def run_all(count: int, seed: int, tol: float | None = None
-            ) -> list[VerificationReport]:
-    """Run every registered check with its preset sampler."""
-    return [run_check(tid, default_spec(tid, count, seed), tol)
-            for tid in CHECKS]
+def run_all(count: int, seed: int, tol: float | None = None,
+            ids: Sequence[str] | None = None) -> list[VerificationReport]:
+    """Run the checks ``ids`` (every registered one by default), each on its
+    default_spec, reading each distinct stream once; the reports come in the
+    order of ``ids``.  SamplerStarvation is raised after every check has
+    run, for the first starving one in that order."""
+    ids = list(CHECKS) if ids is None else ids
+    return _run([(tid, default_spec(tid, count, seed)) for tid in ids], tol)

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from diskgeom.cli import format_complex, main, parse_complex
+from diskgeom.verify import CHECKS, run_all
 
 POINT_KEYS = {"k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c",
               "v_c", "p", "q", "p_c", "q_c",
@@ -146,6 +147,21 @@ def test_verify_writes_report_file(tmp_path, capsys):
     reports = json.loads(out.read_text())
     assert reports[0]["theorem_id"] == "lens_lemma"
     assert reports[0]["passed"] is True
+
+
+def test_verify_all_prints_and_writes_every_check_in_registry_order(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    code = main(["verify", "--theorem", "all", "--samples", "12", "--seed", "8",
+                 "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    reports = json.loads(out.read_text())
+    assert code == 0
+    assert [r["theorem_id"] for r in reports] == list(CHECKS)
+    assert [line.split(":")[0] for line in lines] == [f"PASS {tid}" for tid in CHECKS]
+    expected = run_all(12, 8)
+    for report, line, want in zip(reports, lines, expected):
+        assert report | {"wall_time_s": 0} == want.to_dict() | {"wall_time_s": 0}
+        assert line.endswith(f"({want.evaluated}/12 samples)")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from diskgeom.errors import (
     AntipodalPair,
     ConcentricCircles,
     EqualModuli,
+    NoRealIntersection,
     OutsideDisk,
     ParallelLines,
 )
@@ -205,6 +206,19 @@ def test_gcis_collinear_pair_gives_antipodal_roots_on_both_curves():
         assert g.residual(r1) <= EXACT_TOL
         assert g.residual(r2) <= EXACT_TOL
     assert chordal_distance(r1, r2) == pytest.approx(1.0, abs=EXACT_TOL)
+
+
+def test_gcis_picks_the_root_nearer_the_chords_crossing_and_refuses_nan():
+    # chords sharing the unit-circle point a meet there: the roots are a and
+    # its antipode -a, both on the circle, and the tiebreak picks a
+    for a in (1j, cmath.exp(0.7j), -1 + 0j):
+        for b, d in ((0.3 + 0.1j, -0.2 + 0.4j), (-0.2 + 0.4j, 0.3 + 0.1j)):
+            roots = gcis_roots(a, b, a, d)
+            assert all(abs(abs(z) - 1) <= 1e-12 for z in roots)
+            assert gcis(a, b, a, d) == min(roots, key=lambda z: abs(z - a))
+            assert abs(gcis(a, b, a, d) - a) <= 1e-12
+    with pytest.raises(NoRealIntersection):
+        gcis(complex(math.nan, 0.1), 0.5, 0.3j, -0.4 + 0.1j)
 
 
 def test_gcis_coincident_great_circles_raise():

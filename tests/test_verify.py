@@ -11,6 +11,7 @@ import pytest
 from diskgeom.errors import (
     DegenerateDenominator,
     GeometryError,
+    NearBoundary,
     OutsideDisk,
     SamplerStarvation,
     UnknownTheorem,
@@ -29,6 +30,7 @@ from diskgeom.verify import (
     default_spec,
     midpoint_oracle,
     mobius_invariance_check,
+    run_all,
     run_check,
     sample_circle_quadruple,
     sample_disk_pair,
@@ -333,6 +335,127 @@ def test_run_check_draws_one_by_one_only_rejected_first_attempts_and_short_chunk
 
 
 # ---------------------------------------------------------------------------
+# run_all's shared draws
+
+
+def _without_wall_time(reports):
+    return [{k: v for k, v in report.to_dict().items() if k != "wall_time_s"}
+            for report in reports]
+
+
+def _one_by_one(count, seed, ids=None):
+    return [run_check(tid, default_spec(tid, count, seed))
+            for tid in (CHECKS if ids is None else ids)]
+
+
+@pytest.mark.parametrize("seed", [3, 20260823, 2**63 + 5])
+def test_run_all_equals_one_run_check_per_check(seed):
+    for count in (1, 72, 255, 256, 1025):
+        assert _without_wall_time(run_all(count, seed)) \
+            == _without_wall_time(_one_by_one(count, seed)), count
+
+
+def _starving_probe(sample):
+    """_stream_probe refusing about one sample in four: more than a run
+    may skip."""
+    r = abs(sum(map(complex, sample)))
+    if int(r * 1e7) % 4 == 0:
+        raise DegenerateDenominator("refused on purpose")
+    return r
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_run_all_with_a_probe_on_each_sampler_equals_run_check(monkeypatch, seed,
+                                                               sampler):
+    # the probe and the registered checks of its sampler, which share its
+    # stream (disk_pair's margin-0.02 checks read a second one)
+    monkeypatch.setitem(CHECKS, "stream_probe", _Check(sampler, 1.0, _stream_probe))
+    ids = [tid for tid, check in CHECKS.items() if check.sampler == sampler]
+    skipped = 0
+    for count in (1, 72, 256, 1025):
+        try:
+            expected = _without_wall_time(_one_by_one(count, seed, ids))
+        except SamplerStarvation as want:       # the probe refuses a lone sample
+            with pytest.raises(SamplerStarvation) as got:
+                run_all(count, seed, ids=ids)
+            assert str(got.value) == str(want)
+            continue
+        assert _without_wall_time(run_all(count, seed, ids=ids)) == expected, count
+        skipped += expected[-1]["skipped"]
+    assert skipped > 0
+
+    monkeypatch.setitem(CHECKS, "stream_probe", _Check(sampler, 1.0, _starving_probe))
+    for count in (72, 256, 1025):
+        with pytest.raises(SamplerStarvation) as want:
+            run_check("stream_probe", default_spec("stream_probe", count, seed))
+        assert str(want.value).endswith(" samples survived for stream_probe")
+        with pytest.raises(SamplerStarvation) as got:
+            run_all(count, seed, ids=ids)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("ids, starving", [
+    (["starving_lens", "eleven_points", "starving_disk", "last"], "starving_lens"),
+    (["eleven_points", "starving_disk", "last", "starving_lens"], "starving_disk"),
+])
+def test_run_all_raises_starvation_after_every_check_ran_for_the_first_in_order(
+        monkeypatch, ids, starving):
+    def refuse(sample):
+        raise DegenerateDenominator("refused on purpose")
+
+    ran = []
+
+    def counted(sample):
+        ran.append(sample)
+        return 0.0
+
+    monkeypatch.setitem(CHECKS, "starving_disk", _Check("disk_pair", 1.0, refuse))
+    monkeypatch.setitem(CHECKS, "starving_lens", _Check("lens_pair", 1.0, refuse))
+    monkeypatch.setitem(CHECKS, "last", _Check("circle_quadruple", 1.0, counted))
+    with pytest.raises(SamplerStarvation,
+                       match=f"^only 0/30 samples survived for {starving}$"):
+        run_all(30, 4, ids=ids)
+    assert len(ran) == 30
+
+
+def test_run_all_draws_each_stream_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        draw = SAMPLERS[name]
+
+        def counted(spec, index):
+            calls.append((name, spec.moduli_margin, index))
+            return draw(spec, index)
+        return counted
+
+    for name in list(SAMPLERS):
+        monkeypatch.setitem(SAMPLERS, name, counting(name))
+    for seed in (0, 11):
+        calls.clear()
+        reports = run_all(72, seed)
+        assert len(reports) == len(CHECKS) == 14
+        # disk_pair at margins 0 and 0.02, circle_quadruple and lens_pair
+        assert len(calls) == 4 * 72
+        assert sorted(set(calls)) == sorted(calls)
+        assert {(name, margin) for name, margin, _ in calls} == {
+            ("disk_pair", 0.0), ("disk_pair", 0.02),
+            ("circle_quadruple", 0.0), ("lens_pair", 0.0)}
+
+
+def test_run_all_keeps_the_requested_order_and_tolerance():
+    ids = ["lens_lemma", "w_in_disk", "eleven_points", "lens_lemma"]
+    reports = run_all(20, 5, tol=1e-30, ids=ids)
+    assert [r.theorem_id for r in reports] == ids
+    assert all(r.tolerance == 1e-30 for r in reports)
+    assert _without_wall_time(reports[:1]) == _without_wall_time(reports[3:])
+    assert all(r.wall_time_s > 0 for r in reports)
+    with pytest.raises(UnknownTheorem):
+        run_all(20, 5, ids=["lens_lemma", "nope"])
+
+
+# ---------------------------------------------------------------------------
 # known defects (ROADMAP item 2)
 
 
@@ -380,6 +503,23 @@ def test_midpoint_oracle_refuses_with_rho_and_mobius_T_messages(x, y, refusing):
     with pytest.raises(OutsideDisk) as got:
         midpoint_oracle(x, y)
     assert str(got.value) == str(want.value)
+
+
+def test_midpoint_oracle_refuses_a_straightened_end_within_rounding_of_the_circle():
+    # the true midpoint is 0.99999999139681061 (50-digit mpmath); the
+    # bisection returned 0.9999999894632878, 1.9e-9 off, with no refusal
+    with pytest.raises(NearBoundary):
+        midpoint_oracle(0.9999999999999999, 0.5)
+    # a pair on which the unguarded oracle raised a bare ValueError
+    with pytest.raises(NearBoundary):
+        midpoint_oracle(0.9217225784810857 - 0.3878498270183668j,
+                        -0.9850991502994594 + 0.17198735197812856j)
+    # just above the threshold, 1 - |T_x(y)| = 1.04e-6: 4.5e-11 off the
+    # 60-digit midpoint
+    x, y = -0.5991237551172892 - 0.7978793844498148j, 0.8272548655991855 - 0.5609535722386768j
+    assert 1e-6 < 1 - abs(mobius_T(x, y)) < 1.1e-6
+    assert abs(midpoint_oracle(x, y) - (0.36586319419992257867 - 0.38810734774153621066j)) \
+        <= 1e-10
 
 
 def test_midpoint_oracle_early_exit_keeps_the_hundred_step_result():
