@@ -20,7 +20,7 @@ import json
 import re
 import sys
 
-from .errors import GeometryError
+from .errors import COUNTEREXAMPLE_RESIDUAL, GeometryError
 from .configurations import collinearity_residual, family_report
 from .figures import (
     FIGURE_IDS,
@@ -127,7 +127,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             name: [z.real, z.imag] for name, z in
             zip("abcdhgjkl", (*inputs, *conjecture_points(*inputs)))
         }
-    flagged = report.max_residual > 1e-6
+    flagged = report.max_residual > COUNTEREXAMPLE_RESIDUAL
     doc["possible_counterexample"] = flagged
     print(json.dumps(doc, indent=2))
     if flagged:

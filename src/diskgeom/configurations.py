@@ -38,18 +38,18 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
+    DEGENERACY_TOL,
     CoincidentPoints,
     CollinearWithOrigin,
     DegenerateDenominator,
     GeometryError,
-    OutsideDisk,
     ZeroPoint,
+    require_in_disk,
 )
 from .euclid import line_intersection, midpoint_denominator, midpoint_numerator
 from .hyperbolic import geodesic_endpoints
 from .spherical import gcis, gcis_roots, quadratic_root
 
-_DENOM_TOL = 1e-12
 _FAR = 2.0 ** 510                  # collinearity_residual's NaN bound on |z|
 
 _NAMES = ("k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c", "v_c",
@@ -98,11 +98,10 @@ def _check_pair(a: complex, b: complex) -> None:
     not collinear with the origin."""
     if a == 0 or b == 0:
         raise ZeroPoint("a and b must be nonzero")
-    if not (abs(a) < 1 and abs(b) < 1):         # a NaN coordinate fails too
-        raise OutsideDisk("a and b must lie in the open unit disk")
+    require_in_disk(a, b)
     if a == b:
         raise CoincidentPoints("a and b must be distinct")
-    if abs((a * b.conjugate()).imag) <= _DENOM_TOL * abs(a) * abs(b):
+    if abs((a * b.conjugate()).imag) <= DEGENERACY_TOL * abs(a) * abs(b):
         raise CollinearWithOrigin("a, b collinear with the origin")
 
 
@@ -132,7 +131,7 @@ def _line_family(re, mab, m1, a2, b2, ab2, H: complex, out: list) -> GeometryErr
             ("t", H, 2 * re - 2 * ab2 + mab * m1),
             ("u", H, 1 - ab2),
             ("v", (m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab)):
-        if abs(den) <= _DENOM_TOL:
+        if abs(den) <= DEGENERACY_TOL:
             out.append(DegenerateDenominator(f"denominator of {name} vanishes"))
             first = first or out[-1]
         else:

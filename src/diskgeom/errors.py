@@ -1,4 +1,4 @@
-"""Exception hierarchy for degenerate geometric inputs.
+"""Exception hierarchy and refusal thresholds for degenerate geometric inputs.
 
 Every operation raises a subclass of GeometryError instead of returning a
 huge or meaningless point when a denominator vanishes or a precondition
@@ -88,3 +88,19 @@ class UnknownTheorem(GeometryError):
 
 class SamplerStarvation(GeometryError):
     """More than 10% of requested samples were rejected as degenerate."""
+
+
+# One name per meaning; README's "Tolerances and refusals" lists each site.
+DEGENERACY_TOL = 1e-12      # a denominator, cross product or |a| - |b| this small is 0
+POLE_TOL = 1e-15            # |1 - conj(a) z| this small: z is the pole of T_a
+DISK_EDGE_TOL = 1e-12       # a root this close to the unit circle lies on it
+UNIT_CIRCLE_TOL = 1e-9      # points on the unit circle this close coincide
+TANGENT_SLACK = 1e-9        # relative: a discriminant this far below 0 is a tangency
+ORACLE_MIN_GAP = 1e-6       # midpoint_oracle refuses 1 - |T_x(y)| below this
+COUNTEREXAMPLE_RESIDUAL = 1e-6   # diskgeom conjecture flags a larger max residual
+
+
+def require_in_disk(x: complex, y: complex = 0j) -> None:
+    """Raise OutsideDisk unless |x|, |y| < 1; a NaN coordinate fails too."""
+    if not (abs(x) < 1 and abs(y) < 1):
+        raise OutsideDisk("points must lie in the open unit disk")

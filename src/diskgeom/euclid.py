@@ -5,8 +5,8 @@ form A|z|^2 + conj(B) z + B conj(z) + C = 0 with A, C real (Schwerdtfeger,
 Geometry of Complex Numbers, 1962); lines are A = 0.  The curves through
 a, b with C = sA are the geodesics of the unit disk (s = +1, orthogonal to
 the unit circle) and the projected great circles (s = -1, through
-antipodes).  All predicates take an absolute tolerance scaled by
-max(1, operand magnitudes).
+antipodes).  Refusal thresholds come from errors.py: DEGENERACY_TOL is
+scaled by the operands' magnitude here, in_disk_point's margin is absolute.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from typing import NamedTuple
 
 from .errors import (
+    DEGENERACY_TOL, DISK_EDGE_TOL, TANGENT_SLACK,
     AntipodalPair,
     CoincidentPoints,
     CollinearPoints,
@@ -24,8 +25,6 @@ from .errors import (
     ParallelLines,
 )
 
-IDENTITY_TOL = 1e-9      # default tolerance for algebraic identities
-DEGENERACY_TOL = 1e-12   # denominators below this (times scale) are degenerate
 INFINITY = complex(math.inf, math.inf)
 
 
@@ -87,14 +86,19 @@ class GenCircle(NamedTuple):
         """sqrt(|B|^2 - AC): |A| times the radius, or |B| for a line."""
         return math.sqrt(max(abs(self.B) ** 2 - self.A * self.C, 0.0))
 
+    def _circle_A(self) -> float:
+        if self.A == 0:
+            raise DegenerateInput("a line has no center or radius")
+        return self.A
+
     @property
     def center(self) -> complex:
-        """Center of a circle (A != 0)."""
-        return -self.B / self.A
+        """Center of a circle; a line (A = 0) raises DegenerateInput."""
+        return -self.B / self._circle_A()
 
     @property
     def radius(self) -> float:
-        return self._root() / abs(self.A)
+        return self._root() / abs(self._circle_A())
 
     def residual(self, z: complex) -> float:
         """Euclidean distance from z to the curve."""
@@ -163,7 +167,7 @@ def gencircle_intersection(g1: GenCircle, g2: GenCircle
     h = (bgc * u).real
     k = a * abs(p) ** 2 + 2 * (bgc * p).real + cg
     disc = h * h - a * k
-    if disc < -IDENTITY_TOL * (h * h + abs(a * k)):
+    if disc < -TANGENT_SLACK * (h * h + abs(a * k)):
         return None
     q = -(h + math.copysign(math.sqrt(max(disc, 0.0)), h))
     if a == 0 and abs(q) <= DEGENERACY_TOL * abs(bgc):
@@ -186,7 +190,7 @@ def in_disk_point(points: tuple[complex, complex] | None) -> complex:
     """Pick the intersection point inside the open unit disk."""
     if points is None:
         raise NoRealIntersection("curves do not intersect")
-    inside = [z for z in points if abs(z) < 1 - 1e-12]
+    inside = [z for z in points if abs(z) < 1 - DISK_EDGE_TOL]
     if not inside:
         raise NoRealIntersection("no intersection point inside the disk")
     return min(inside, key=abs) if len(inside) == 2 else inside[0]

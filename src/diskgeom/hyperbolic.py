@@ -7,6 +7,7 @@ import cmath
 import math
 
 from .errors import (
+    DEGENERACY_TOL, DISK_EDGE_TOL, POLE_TOL, UNIT_CIRCLE_TOL,
     CoincidentPoints,
     DegenerateDenominator,
     EqualModuli,
@@ -14,9 +15,9 @@ from .errors import (
     NearBoundary,
     NoInDiskRoot,
     OriginIntersection,
-    OutsideDisk,
     PoleHit,
     ZeroPoint,
+    require_in_disk,
 )
 from .euclid import (
     GenCircle,
@@ -40,8 +41,7 @@ def rho(x: complex, y: complex) -> float:
     """Hyperbolic distance in the unit disk.  A ratio |x - y| / A[x,y] that
     rounds to 1, possible only when |x| or |y| is within rounding of 1,
     raises NearBoundary."""
-    if not (abs(x) < 1 and abs(y) < 1):         # a NaN coordinate fails too
-        raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
+    require_in_disk(x, y)
     ratio = abs(x - y) / ahlfors_bracket(x, y)
     if ratio >= 1:
         raise NearBoundary("|x - y| / |1 - x conj(y)| rounds to 1")
@@ -51,10 +51,9 @@ def rho(x: complex, y: complex) -> float:
 def mobius_T(a: complex, z: complex) -> complex:
     """T_a(z) = (z - a) / (1 - conj(a) z), the disk automorphism with
     T_a(a) = 0 and fixed points +-a/|a|."""
-    if not abs(a) < 1:
-        raise OutsideDisk("|a| < 1 required")
+    require_in_disk(a)
     den = 1 - a.conjugate() * z
-    if abs(den) <= 1e-15:
+    if abs(den) <= POLE_TOL:
         raise PoleHit("z is the pole of T_a")
     return (z - a) / den
 
@@ -66,8 +65,7 @@ def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
     |b| is within rounding of 1, raises NearBoundary."""
     if a == b:
         raise CoincidentPoints("geodesic endpoints need distinct points")
-    if not (abs(a) < 1 and abs(b) < 1):
-        raise OutsideDisk("points must lie in the open disk")
+    require_in_disk(a, b)
     mab = abs(a - b)
     m1 = abs(1 - a * b.conjugate())
     den_a = (1 - a * b.conjugate()) * mab + b.conjugate() * (a - b) * m1
@@ -82,15 +80,13 @@ def hyperbolic_line(a: complex, b: complex) -> GenCircle:
     """Geodesic through two distinct points of the open disk: the curve
     through a, b and 1/conj(a), orthogonal to the unit circle, a diameter
     when a, b, 0 are collinear."""
-    if not (abs(a) < 1 and abs(b) < 1):
-        raise OutsideDisk("points must lie in the open disk")
+    require_in_disk(a, b)
     return GenCircle.through(a, b, +1)
 
 
 def hyperbolic_midpoint(x: complex, y: complex) -> complex:
     """The point m on the geodesic through x, y with rho(x,m) = rho(y,m)."""
-    if not (abs(x) < 1 and abs(y) < 1):
-        raise OutsideDisk("points must lie in the open disk")
+    require_in_disk(x, y)
     if x == y:
         return x
     x2, y2 = abs(x) ** 2, abs(y) ** 2
@@ -102,7 +98,7 @@ def check_cyclic_order(points: tuple[complex, ...]) -> None:
     """Require unit-modulus points in strictly increasing argument order
     (up to rotation of the whole tuple)."""
     for z in points:
-        if abs(abs(z) - 1) > 1e-9:
+        if abs(abs(z) - 1) > UNIT_CIRCLE_TOL:
             raise InvalidCyclicOrder(f"{z} is not on the unit circle")
     base = cmath.phase(points[0])
     args = [math.fmod(cmath.phase(z) - base + 4 * math.pi, 2 * math.pi)
@@ -117,14 +113,14 @@ def geodesic_intersection_on_circle(a: complex, b: complex, c: complex,
     a, b, c, d on the unit circle in positive cyclic order."""
     check_cyclic_order((a, b, c, d))
     den = a - b + c - d
-    if abs(den) <= euclid.DEGENERACY_TOL:
+    if abs(den) <= DEGENERACY_TOL:
         # two perpendicular diameters: both geodesics pass through 0
-        if abs(a + c) <= 1e-9 and abs(b + d) <= 1e-9:
+        if abs(a + c) <= UNIT_CIRCLE_TOL and abs(b + d) <= UNIT_CIRCLE_TOL:
             return 0j
         raise DegenerateDenominator("a - b + c - d vanishes")
     root = cmath.sqrt((a - b) * (b - c) * (c - d) * (d - a))
     cands = [((a * c - b * d) + s * root) / den for s in (1, -1)]
-    inside = [w for w in cands if abs(w) < 1 - 1e-12]
+    inside = [w for w in cands if abs(w) < 1 - DISK_EDGE_TOL]
     if len(inside) != 1:
         raise NoInDiskRoot("root selection ambiguous; check the ordering")
     return inside[0]
@@ -144,8 +140,7 @@ def midpoint_via_lens(a: complex, b: complex) -> complex:
     modulus of a reflection 1/conj(z), so a point with |z| < 2**-511, 0
     included, is refused with ZeroPoint.
     """
-    if not (abs(a) < 1 and abs(b) < 1):
-        raise OutsideDisk("points must lie in the open disk")
+    require_in_disk(a, b)
     if min(abs(a), abs(b)) < _TINY:
         raise ZeroPoint("the lens construction needs |a|, |b| >= 2**-511")
     chord = GenCircle(0.0, great_circle_projection(a, 1 / b.conjugate()).B, 0.0)
@@ -161,7 +156,7 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
     endpoints; the circle around c orthogonal to the unit circle cuts the
     geodesic at the midpoint.  Requires |a| != |b|.
     """
-    if abs(abs(a) - abs(b)) <= 1e-12:
+    if abs(abs(a) - abs(b)) <= DEGENERACY_TOL:
         raise EqualModuli("|a| == |b|: chord and endpoint chord are parallel")
     a_end, b_end = geodesic_endpoints(a, b)
     c = line_intersection(a, b, a_end, b_end)
@@ -179,7 +174,7 @@ def chord_vs_geodesic_midpoint(a: complex, b: complex, c: complex, d: complex
     hyperbolic midpoint of 0 and f."""
     m = geodesic_intersection_on_circle(a, b, c, d)   # checks the cyclic order
     f = line_intersection(a, c, b, d)
-    if abs(f) <= euclid.DEGENERACY_TOL:
+    if abs(f) <= DEGENERACY_TOL:
         raise OriginIntersection("chords meet at the origin")
     return f, m
 

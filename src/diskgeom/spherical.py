@@ -13,12 +13,13 @@ import math
 from dataclasses import astuple, dataclass
 
 from .errors import (
+    DEGENERACY_TOL, DISK_EDGE_TOL,
     AntipodalPair,
     CoincidentPoints,
     EqualModuli,
     NearBoundary,
     NoRealIntersection,
-    OutsideDisk,
+    require_in_disk,
 )
 from .euclid import INFINITY, GenCircle, line_intersection
 from . import euclid
@@ -104,7 +105,7 @@ def gcis(a: complex, b: complex, c: complex, d: complex) -> complex:
     Euclidean line intersection of the two defining chords is returned.
     """
     z1, z2 = gcis_roots(a, b, c, d)
-    in1, in2 = abs(z1) <= 1 + 1e-12, abs(z2) <= 1 + 1e-12    # False for NaN
+    in1, in2 = abs(z1) <= 1 + DISK_EDGE_TOL, abs(z2) <= 1 + DISK_EDGE_TOL  # NaN: False
     if in1 and in2:               # on a tie, or a NaN distance, the first root
         ref = _tiebreak_reference(a, b, c, d)
         return z2 if abs(z2 - ref) < abs(z1 - ref) else z1
@@ -150,11 +151,10 @@ def gcis_quadratic_solve(H: complex, R: float) -> complex:
 
 def chordal_midpoint(a: complex, b: complex) -> complex:
     """Point whose sphere image bisects the minor arc between those of a, b."""
-    if not (abs(a) < 1 and abs(b) < 1):
-        raise OutsideDisk("chordal midpoint formula requires points in the disk")
+    require_in_disk(a, b)
     a2, b2 = abs(a) ** 2, abs(b) ** 2
     den = euclid.midpoint_denominator(a2, b2, abs(1 + a * b.conjugate()), -1)
-    if abs(den) <= euclid.DEGENERACY_TOL:
+    if abs(den) <= DEGENERACY_TOL:
         raise AntipodalPair("points are antipodal on the sphere")
     return euclid.midpoint_numerator(a, b, a2, b2, -1) / den
 
@@ -164,6 +164,6 @@ def orthogonal_great_circle(a: complex, b: complex) -> GenCircle:
     orthogonal to the great circle through a and b: the points chordally
     equidistant from a and b.  Requires |a| != |b|."""
     den = abs(a) ** 2 - abs(b) ** 2
-    if abs(den) <= 1e-12:
+    if abs(den) <= DEGENERACY_TOL:
         raise EqualModuli("construction requires |a| != |b|")
     return GenCircle(den, a * (1 + abs(b) ** 2) - b * (1 + abs(a) ** 2), -den)

@@ -41,12 +41,13 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .errors import (
+    ORACLE_MIN_GAP,
     GeometryError,
     NearBoundary,
-    OutsideDisk,
     PointOutsideDisk,
     SamplerStarvation,
     UnknownTheorem,
+    require_in_disk,
 )
 from .euclid import GenCircle, line_intersection, orthocenter, scale_of
 from .hyperbolic import (
@@ -319,16 +320,6 @@ def _draw_chunk(spec: SampleSpec, sampler: str, begin: int, end: int) -> list[tu
 # independent oracles
 
 
-# midpoint_oracle refuses a pair whose straightened end T_x(y) has
-# 1 - |T_x(y)| below this: the rounding of |T_x(y)| then carries into the
-# midpoint.  Against 60-digit mpmath midpoints of pairs near the unit circle,
-# the oracle was off by at most 4.5e-11 over 20,000 pairs with 1 - |T_x(y)|
-# in [1e-6, 1e-5), and by up to 2.1e-10 in [1e-7, 1e-6) and 1.5e-9 in
-# [1e-8, 1e-7), beyond its check's 1e-9; at 1.1e-16 some pairs raised a
-# bare ValueError.  The samplers' |x|, |y| <= 0.95 keep it above 1.3e-3.
-_ORACLE_MIN_GAP = 1e-6
-
-
 def midpoint_oracle(x: complex, y: complex) -> complex:
     """Hyperbolic midpoint by bisection along the T_x-straightened geodesic:
     the point w = mid * u of [0, yp] with rho(0, w) = rho(w, yp).
@@ -337,15 +328,13 @@ def midpoint_oracle(x: complex, y: complex) -> complex:
     rho(0, w) < rho(w, yp) is exact, so the test compares the two atanh.
     Stopping once mid is lo or hi keeps the 100-step result: each later step
     keeps (lo, hi) or moves the other end onto mid, so 0.5 * (lo + hi) stays mid.
-    A yp with 1 - |yp| < _ORACLE_MIN_GAP raises NearBoundary."""
+    A yp with 1 - |yp| < ORACLE_MIN_GAP raises NearBoundary, so each |w| < 1."""
     if x == y:
         return x
-    yp = mobius_T(x, y)
+    require_in_disk(yp := mobius_T(x, y))
     ayp, ypc = abs(yp), yp.conjugate()
-    if not ayp < 1:
-        raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
-    if 1 - ayp < _ORACLE_MIN_GAP:
-        raise NearBoundary(f"1 - |T_x(y)| = {1 - ayp:.3g} is below {_ORACLE_MIN_GAP:g}")
+    if 1 - ayp < ORACLE_MIN_GAP:
+        raise NearBoundary(f"1 - |T_x(y)| = {1 - ayp:.3g} is below {ORACLE_MIN_GAP:g}")
     u = yp / ayp
     lo, hi = 0.0, ayp
     for _ in range(100):
@@ -353,10 +342,7 @@ def midpoint_oracle(x: complex, y: complex) -> complex:
         if mid == lo or mid == hi:
             break
         w = mid * u
-        aw = abs(w)
-        if not aw < 1:
-            raise OutsideDisk("hyperbolic distance requires |x|,|y| < 1")
-        if math.atanh(aw) < math.atanh(abs(w - yp) / abs(1 - w * ypc)):
+        if math.atanh(abs(w)) < math.atanh(abs(w - yp) / abs(1 - w * ypc)):
             lo = mid
         else:
             hi = mid
@@ -372,7 +358,7 @@ def conjecture_check(a: complex, b: complex, c: complex, d: complex,
     """
     _, j, k, l = conjecture_points(a, b, c, d, h)
     for z in (h, j, k, l):
-        if abs(z) >= 1:
+        if not abs(z) < 1:               # a NaN coordinate fails too
             raise PointOutsideDisk(f"derived point {z} outside the open disk")
     return abs(rho(h, j) - rho(k, l))
 

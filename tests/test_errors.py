@@ -1,10 +1,22 @@
-"""Each GeometryError subclass below is raised by a literal input."""
+"""Each GeometryError subclass below is raised by a literal input, and each
+refusal threshold holds at its boundary."""
 
 import cmath
+import contextlib
+import io
+import json
+from unittest import mock
 
 import pytest
 
+from diskgeom import cli
+from diskgeom.configurations import build_config
 from diskgeom.errors import (
+    CollinearWithOrigin,
+    EqualModuli,
+    GeometryError,
+    InvalidCyclicOrder,
+    NearBoundary,
     NoInDiskRoot,
     NoRealIntersection,
     OriginIntersection,
@@ -13,11 +25,14 @@ from diskgeom.errors import (
 )
 from diskgeom.euclid import GenCircle, gencircle_intersection, in_disk_point
 from diskgeom.hyperbolic import (
+    check_cyclic_order,
     chord_vs_geodesic_midpoint,
     geodesic_intersection_on_circle,
+    midpoint_via_inversion,
     mobius_T,
 )
-from diskgeom.verify import conjecture_check
+from diskgeom.spherical import gcis, orthogonal_great_circle
+from diskgeom.verify import VerificationReport, conjecture_check, midpoint_oracle
 
 CASES = [
     # 2 = 1/conj(0.5) is the pole of T_0.5
@@ -44,3 +59,84 @@ CASES = [
 def test_error_class_is_raised(error, call):
     with pytest.raises(error):
         call()
+
+
+def _refusal(call, *args):
+    """The GeometryError class call(*args) raises, or None."""
+    try:
+        call(*args)
+    except GeometryError as exc:
+        return type(exc)
+    return None
+
+
+def _flagged(max_residual):
+    """possible_counterexample of `diskgeom conjecture` for a run with this max."""
+    report = VerificationReport(
+        theorem_id="conjecture", sampler="circle_quadruple", requested=2, evaluated=2,
+        skipped=0, seed=0, tolerance=1e-9, max_residual=max_residual,
+        mean_residual=max_residual, worst_input=[], passed=True, assertive=False,
+        wall_time_s=0.0)
+    out = io.StringIO()
+    with mock.patch.object(cli, "run_check", lambda *_: report), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["conjecture", "--samples", "2"]) == 0
+    return json.loads(out.getvalue())["possible_counterexample"]
+
+
+# One row per threshold of the refusal policy (errors.py): a probe, a literal
+# input just on its accepting side with the probe's result there, and one just
+# on its refusing side with that result.
+BOUNDARIES = {
+    # DEGENERACY_TOL scaled by |a| |b| = 0.25: |Im(a conj(b))| = 2.75e-13, 2.25e-13
+    "degeneracy_collinear_with_origin": (
+        lambda b: _refusal(build_config, 0.5 + 0j, b),
+        0.5 + 5.5e-13j, None, 0.5 + 4.5e-13j, CollinearWithOrigin),
+    # DEGENERACY_TOL: ||a| - |b|| = 1.1e-12, 0.9e-12
+    "degeneracy_midpoint_via_inversion": (
+        lambda b: _refusal(midpoint_via_inversion, 0.5 + 0j, b),
+        0.4999999999989j, None, 0.4999999999991j, EqualModuli),
+    # DEGENERACY_TOL: |a|^2 - |b|^2 = 1.1e-12, 0.9e-12
+    "degeneracy_orthogonal_great_circle": (
+        lambda b: _refusal(orthogonal_great_circle, 0.5 + 0j, b),
+        0.4999999999989j, None, 0.4999999999991j, EqualModuli),
+    # POLE_TOL = 1e-15: |1 - conj(a) z| = 10 and 9 times 2**-53
+    "pole_mobius_T": (
+        lambda z: _refusal(mobius_T, 0.5 + 0j, z),
+        1.9999999999999978 + 0j, None, 1.999999999999998 + 0j, PoleHit),
+    # DISK_EDGE_TOL = 1e-12: |z| = 1 - 1.1e-12, 1 - 0.9e-12
+    "disk_edge_in_disk_point": (
+        lambda z: _refusal(in_disk_point, (z, 5 + 0j)),
+        0.9999999999989 + 0j, None, 0.9999999999991 + 0j, NoRealIntersection),
+    # DISK_EDGE_TOL: the real axis and the great circle through r and 0.5i
+    # cross at r and -1/r; r = 1 + 0.9e-12 counts as in the closed disk and
+    # is nearer the chords' crossing, r = 1 + 1.1e-12 leaves only -1/r
+    "disk_edge_gcis": (
+        lambda r: gcis(0.5 + 0j, 0.3 + 0j, r, 0.5j).real > 0,
+        1.0000000000009 + 0j, True, 1.0000000000011 + 0j, False),
+    # UNIT_CIRCLE_TOL = 1e-9: ||z| - 1| = 0.9e-9, 1.1e-9
+    "unit_circle_check_cyclic_order": (
+        lambda z: _refusal(check_cyclic_order, (z, 1j, -1 + 0j, -1j)),
+        1.0000000009 + 0j, None, 1.0000000011 + 0j, InvalidCyclicOrder),
+    # TANGENT_SLACK = 1e-9: the circle of center 0.5i and radius 1 and the line
+    # Re z = x have discriminant 1 - x^2 against the slack 1e-9 (0.25 + 0.25);
+    # x - 1 = 2.2e-10 touches, 2.8e-10 misses
+    "tangent_slack_gencircle_intersection": (
+        lambda x: gencircle_intersection(GenCircle.circle(0.5j, 1.0),
+                                         GenCircle.line(x, x + 1j)) is None,
+        1.00000000022 + 0j, False, 1.00000000028 + 0j, True),
+    # ORACLE_MIN_GAP = 1e-6: T_0(y) = y, 1 - |y| = 1.1e-6, 0.9e-6
+    "oracle_min_gap_midpoint_oracle": (
+        lambda y: _refusal(midpoint_oracle, 0j, y),
+        0.9999989 + 0j, None, 0.9999991 + 0j, NearBoundary),
+    # COUNTEREXAMPLE_RESIDUAL = 1e-6: a max residual above it is flagged
+    "counterexample_residual_cli_conjecture": (
+        _flagged, 1e-6, False, 1.0000000000000002e-6, True),
+}
+
+
+@pytest.mark.parametrize("probe, accepted, gives, refused, refusal",
+                         BOUNDARIES.values(), ids=BOUNDARIES)
+def test_threshold_holds_at_its_boundary(probe, accepted, gives, refused, refusal):
+    assert probe(accepted) == gives
+    assert probe(refused) == refusal

@@ -165,6 +165,18 @@ def test_gencircle_constructors_return_gencircles():
         assert type(curve) is GenCircle
 
 
+def test_center_and_radius_refuse_a_line_and_keep_a_circles_bits():
+    for line in (GenCircle.line(0j, 1 + 1j), GenCircle.through(0.5 + 0j, -0.3 + 0j, -1)):
+        assert line.A == 0
+        with pytest.raises(DegenerateInput):
+            line.center
+        with pytest.raises(DegenerateInput):
+            line.radius
+    circle = GenCircle.through(0.3 + 0.1j, -0.2 + 0.4j, -1)
+    assert circle.center == -circle.B / circle.A
+    assert circle.radius == math.sqrt(abs(circle.B) ** 2 - circle.A * circle.C) / abs(circle.A)
+
+
 def test_curve_through_a_pair_refuses_coincident_and_antipodal_points():
     for sign in (1, -1):
         with pytest.raises(CoincidentPoints):

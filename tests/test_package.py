@@ -75,6 +75,33 @@ def test_module_reads_its_private_names(path):
     assert _unused_private_names(path) == []
 
 
+def _policy_breaches(path: Path) -> list[str]:
+    """A float constant in (0, 1e-5) outside verify.CHECKS, or an OutsideDisk
+    construction: the refusal policy's thresholds and its in-disk guard
+    belong to errors.py alone."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    checks = set()                     # the nodes of verify's CHECKS table
+    for node in tree.body if path.name == "verify.py" else []:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "CHECKS" for t in targets):
+                checks |= {id(n) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0 < node.value < 1e-5 and id(node) not in checks):
+            found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+        elif isinstance(node, ast.Call) and "OutsideDisk" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(f"{path.name}:{node.lineno}: OutsideDisk(")
+    return found
+
+
+def test_errors_py_alone_defines_tolerances_and_raises_outside_disk():
+    paths = sorted((ROOT / "src" / "diskgeom").glob("*.py"))
+    assert [site for p in paths if p.name != "errors.py" for site in _policy_breaches(p)] == []
+
+
 # Everything but a sample draw runs without numpy; the first draw loads it.
 _NUMPY_ON_FIRST_DRAW = """
 import contextlib, io, sys

@@ -1,5 +1,6 @@
 """Tests for the randomized verification harness."""
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -13,6 +14,7 @@ from diskgeom.errors import (
     GeometryError,
     NearBoundary,
     OutsideDisk,
+    PointOutsideDisk,
     SamplerStarvation,
     UnknownTheorem,
 )
@@ -535,6 +537,13 @@ def test_conjecture_check_generic_quadruple_is_tiny():
     a, b, c, d = (cmath.exp(1j * t) for t in (0.0, 1.2, 2.8, 4.4))
     h = b + 0.5 * (c - b)
     assert conjecture_check(a, b, c, d, h) <= 1e-9
+
+
+def test_conjecture_check_skips_a_nan_point_with_its_own_signal():
+    # abs(nan) >= 1 is false, so only `not abs(z) < 1` stops NaN before rho
+    a, b, c, d = (cmath.exp(1j * t) for t in (0.3, 1.5, 3.0, 4.5))
+    with pytest.raises(PointOutsideDisk):
+        conjecture_check(a, b, c, d, complex(math.nan, 0.1))
 
 
 def test_mobius_invariance_check_returns_small_residuals():
