@@ -26,9 +26,9 @@ of 55, with the same value (see collinearity_residual).
 All eleven points of the combined family are real multiples of
 H = H_{+1} = a(1-|b|^2) + b(1-|a|^2); p, q, p_c, q_c are positive real
 multiples of N = |a-b| H + |1-a conj(b)| (1-|a|^2) b, and q_c = 1/conj(p_c).
-The great-circle and p/q forms are written with
-m1^2 - mab^2 = (1-|a|^2)(1-|b|^2), m1 = |1-a conj(b)| and mab = |a-b|, so
-that they hold no difference m1 - mab, which cancels near the unit circle.
+Every form is written with m1^2 - mab^2 = (1-|a|^2)(1-|b|^2),
+m1 = |1-a conj(b)| and mab = |a-b|, so that none subtracts one modulus from
+the other, which cancels near the unit circle.
 """
 
 from __future__ import annotations
@@ -120,22 +120,19 @@ def _moduli(a: complex, b: complex) -> tuple:
             midpoint_numerator(a, b, a2, b2, 1))
 
 
-def _line_family(re, mab, m1, a2, b2, ab2, H: complex, out: list) -> GeometryError | None:
-    """Append k, s, t, u, v, real multiples of H, to out (re = Re(a conj(b))):
-    a point whose denominator is within rounding of 0 as its
+def _line_family(re, mab, m1, ab2, H: complex, out: list) -> GeometryError | None:
+    """Append k, t = H/(X -+ P), s, v = H/(Y -+ P) and u = H/(1 - |ab|^2) to
+    out: a point whose denominator is within rounding of 0 as its
     DegenerateDenominator.  Return the first such error, or None."""
     first = None
-    for name, num, den in (
-            ("k", (mab - m1) * H, (1 - ab2) * mab + (2 * ab2 - (a2 + b2)) * m1),
-            ("s", H, 2 - 2 * re - mab * m1),
-            ("t", H, 2 * re - 2 * ab2 + mab * m1),
-            ("u", H, 1 - ab2),
-            ("v", (m1 - mab) * H, (2 - (a2 + b2)) * m1 - (1 - ab2) * mab)):
+    X, Y, P = 2 * re - 2 * ab2, 2 - 2 * re, mab * m1       # re = Re(a conj(b))
+    for name, den in (("k", X - P), ("s", Y - P), ("t", X + P), ("u", 1 - ab2),
+                      ("v", Y + P)):
         if abs(den) <= DEGENERACY_TOL:
             out.append(DegenerateDenominator(f"denominator of {name} vanishes"))
             first = first or out[-1]
         else:
-            out.append(num / den)
+            out.append(H / den)
     return first
 
 
@@ -168,10 +165,10 @@ def _pq_family(b, mab, m1, a2, b2, ab2, H: complex) -> list:
             N / (mab * (1 - ab2) + m1 * b2 * (1 - a2)), pc, 1 / pc.conjugate()]
 
 
-def _line_points(*moduli) -> list:
+def _line_points(re, mab, m1, ab2, H: complex) -> list:
     """k, s, t, u, v, after raising the first DegenerateDenominator among them."""
     out = []
-    if error := _line_family(*moduli, out):
+    if error := _line_family(re, mab, m1, ab2, H, out):
         raise error
     return out
 
@@ -191,7 +188,8 @@ def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
         return tuple([line_intersection(*chords) for chords in _chords(cfg)[:5]])
     if path != "closed_form":
         raise ValueError(f"unknown path {path!r}")
-    return tuple(_line_points(*_moduli(cfg.a, cfg.b)))
+    re, mab, m1, _, _, ab2, H = _moduli(cfg.a, cfg.b)
+    return tuple(_line_points(re, mab, m1, ab2, H))
 
 
 def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
@@ -278,9 +276,9 @@ def family_report(a: complex, b: complex
     points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
               "a_end": cfg.a_end, "b_end": cfg.b_end}
     statuses = dict.fromkeys([*points, *_NAMES], "ok")
-    moduli = _, mab, m1, a2, b2, ab2, H = _moduli(a, b)
+    re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
     line = []
-    _line_family(*moduli, line)
+    _line_family(re, mab, m1, ab2, H, line)
     kc, sc, uc = _chordal_family(mab, m1, a2, b2, H)
     m = H / midpoint_denominator(a2, b2, m1, 1)
     for name, value in zip(_NAMES, [*line, m, kc, sc, -sc, uc, -kc,
@@ -298,8 +296,8 @@ def h_family(a: complex, b: complex) -> tuple[list[complex], tuple]:
     of (a, b), raising the first degeneracy among them, and the _moduli
     values they were computed from; t_c = -s_c and v_c = -k_c."""
     _check_pair(a, b)
-    moduli = _, mab, m1, a2, b2, _, H = _moduli(a, b)
-    return [*_line_points(*moduli), H / midpoint_denominator(a2, b2, m1, 1),
+    moduli = re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
+    return [*_line_points(re, mab, m1, ab2, H), H / midpoint_denominator(a2, b2, m1, 1),
             *_chordal_family(mab, m1, a2, b2, H)], moduli
 
 

@@ -7,7 +7,7 @@ import cmath
 import math
 
 from .errors import (
-    DEGENERACY_TOL, DISK_EDGE_TOL, POLE_TOL, UNIT_CIRCLE_TOL,
+    DEGENERACY_TOL, DISK_EDGE_TOL, INVERSION_MIN_GAP, POLE_TOL, UNIT_CIRCLE_TOL,
     CoincidentPoints,
     DegenerateDenominator,
     EqualModuli,
@@ -58,22 +58,21 @@ def mobius_T(a: complex, z: complex) -> complex:
     return (z - a) / den
 
 
+def _end(x: complex, y: complex) -> complex:
+    """Endpoint on the x side of the geodesic through x, y: T_{-x}(-u) for
+    u = T_x(y)/|T_x(y)|, written out, as mobius_T can refuse x near |x| = 1."""
+    w = mobius_T(x, y)
+    u = w / abs(w)
+    return (x - u) / (1 - x.conjugate() * u)
+
+
 def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
     """Endpoints (a_end, b_end) of the geodesic through a, b on the unit
-    circle, a_end on the a side.  Closed forms avoiding the double Moebius
-    composition.  A denominator that rounds to 0, possible only when |a| or
-    |b| is within rounding of 1, raises NearBoundary."""
+    circle, a_end on the a side; no form cancels as |a| or |b| nears 1."""
     if a == b:
         raise CoincidentPoints("geodesic endpoints need distinct points")
     require_in_disk(a, b)
-    mab = abs(a - b)
-    m1 = abs(1 - a * b.conjugate())
-    den_a = (1 - a * b.conjugate()) * mab + b.conjugate() * (a - b) * m1
-    den_b = (1 - a.conjugate() * b) * mab + a.conjugate() * (b - a) * m1
-    if den_a == 0 or den_b == 0:
-        raise NearBoundary("geodesic endpoint denominator vanishes")
-    return ((b * (1 - a * b.conjugate()) * mab + (a - b) * m1) / den_a,
-            (a * (1 - a.conjugate() * b) * mab + (b - a) * m1) / den_b)
+    return _end(a, b), _end(b, a)
 
 
 def hyperbolic_line(a: complex, b: complex) -> GenCircle:
@@ -154,10 +153,11 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
 
     c is the intersection of L[a,b] with the line through the geodesic
     endpoints; the circle around c orthogonal to the unit circle cuts the
-    geodesic at the midpoint.  Requires |a| != |b|.
+    geodesic at the midpoint, ~2e-17 / ||a| - |b|| off as the two lines turn
+    parallel; a gap below INVERSION_MIN_GAP raises EqualModuli.
     """
-    if abs(abs(a) - abs(b)) <= DEGENERACY_TOL:
-        raise EqualModuli("|a| == |b|: chord and endpoint chord are parallel")
+    if abs(abs(a) - abs(b)) < INVERSION_MIN_GAP:
+        raise EqualModuli(f"||a| - |b|| is below {INVERSION_MIN_GAP:g}")
     a_end, b_end = geodesic_endpoints(a, b)
     c = line_intersection(a, b, a_end, b_end)
     if abs(c) <= 1:

@@ -8,6 +8,8 @@ import pytest
 from diskgeom.cli import format_complex, main, parse_complex
 from diskgeom.verify import CHECKS, run_all
 
+from conftest import endpoint_error
+
 POINT_KEYS = {"k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c",
               "v_c", "p", "q", "p_c", "q_c",
               "a_star", "b_star", "a_end", "b_end", "H"}
@@ -88,11 +90,15 @@ def test_points_degenerate_configuration_exits_2(capsys):
 
 
 @pytest.mark.parametrize("b", ["0.3+0.2i", "0.19599454085957066+0.9806049866978375i"])
-def test_points_near_boundary_exits_2(b, capsys):
-    # |a| is within rounding of 1: a typed refusal, not a traceback
-    assert main(["points", "--a", "0.155022086178662-0.987911004492214i",
-                 "--b", b]) == 2
-    assert "NearBoundary" in capsys.readouterr().err
+def test_points_near_boundary_prints_accurate_endpoints(b, capsys):
+    # |a| is within rounding of 1, where the endpoints' old closed form
+    # refused the pair with NearBoundary
+    a = "0.155022086178662-0.987911004492214i"
+    assert main(["points", "--a", a, "--b", b]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    a, b = parse_complex(a), parse_complex(b)
+    assert endpoint_error(complex(*points["a_end"]), a, b) <= 1e-15
+    assert endpoint_error(complex(*points["b_end"]), b, a) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,6 @@ BOUNDARIES = {
     "degeneracy_collinear_with_origin": (
         lambda b: _refusal(build_config, 0.5 + 0j, b),
         0.5 + 5.5e-13j, None, 0.5 + 4.5e-13j, CollinearWithOrigin),
-    # DEGENERACY_TOL: ||a| - |b|| = 1.1e-12, 0.9e-12
-    "degeneracy_midpoint_via_inversion": (
-        lambda b: _refusal(midpoint_via_inversion, 0.5 + 0j, b),
-        0.4999999999989j, None, 0.4999999999991j, EqualModuli),
     # DEGENERACY_TOL: |a|^2 - |b|^2 = 1.1e-12, 0.9e-12
     "degeneracy_orthogonal_great_circle": (
         lambda b: _refusal(orthogonal_great_circle, 0.5 + 0j, b),
@@ -129,6 +125,10 @@ BOUNDARIES = {
     "oracle_min_gap_midpoint_oracle": (
         lambda y: _refusal(midpoint_oracle, 0j, y),
         0.9999989 + 0j, None, 0.9999991 + 0j, NearBoundary),
+    # INVERSION_MIN_GAP = 1e-6: ||a| - |b|| = 1.1e-6, 0.9e-6
+    "inversion_min_gap_midpoint_via_inversion": (
+        lambda b: _refusal(midpoint_via_inversion, 0.5 + 0j, b),
+        0.4999989j, None, 0.4999991j, EqualModuli),
     # COUNTEREXAMPLE_RESIDUAL = 1e-6: a max residual above it is flagged
     "counterexample_residual_cli_conjecture": (
         _flagged, 1e-6, False, 1.0000000000000002e-6, True),

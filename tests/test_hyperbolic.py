@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -32,7 +33,7 @@ from diskgeom.hyperbolic import (
 from diskgeom.spherical import chordal_midpoint
 from diskgeom.verify import midpoint_oracle
 
-from conftest import polar_points, unit_circle_points, well_separated
+from conftest import endpoint_error, polar_points, unit_circle_points, well_separated
 
 IDENTITY_TOL = 1e-9
 EXACT_TOL = 1e-12
@@ -142,6 +143,22 @@ def test_geodesic_endpoints_match_mobius_construction(pts):
     assert abs(abs(b_end) - 1) <= IDENTITY_TOL
     assert abs(a_end - ep(a, b)) <= IDENTITY_TOL
     assert abs(b_end - ep(b, a)) <= IDENTITY_TOL
+
+
+@pytest.mark.parametrize("both", [False, True])
+def test_geodesic_endpoints_are_accurate_near_the_unit_circle(both):
+    # 1 - |a|, and 1 - |b| when both, log-uniform in 1e-14 ... 1e-2
+    rng = random.Random(2323)
+
+    def point(r):
+        return cmath.rect(r, rng.uniform(0, 2 * math.pi))
+
+    for _ in range(200):
+        a = point(1 - 10.0 ** rng.uniform(-14, -2))
+        b = point(1 - 10.0 ** rng.uniform(-14, -2) if both else rng.uniform(0.05, 0.95))
+        a_end, b_end = geodesic_endpoints(a, b)
+        assert endpoint_error(a_end, a, b) <= 1e-15, (a, b)
+        assert endpoint_error(b_end, b, a) <= 1e-15, (a, b)
 
 
 def test_diameter_geodesic_is_a_line():
