@@ -3,9 +3,10 @@
 Points are plain Python complex numbers; the point at infinity is the
 INFINITY sentinel (accepted only by the spherical-metric functions).
 Submodules: euclid (lines/circles/intersections), hyperbolic (disk metric,
-geodesics, midpoints), spherical (stereographic projection, great circles),
-configurations (named point families), verify (randomized checks),
-figures (labeled figure reproduction), cli (command-line front end).
+geodesics, midpoints), spherical (stereographic projection, great circles)
+and configurations (named point families) load with the package; figures
+(labeled figures), cli (command-line front end) and verify (randomized
+checks) load on first use, verify also on the first read of its names here.
 """
 
 from .errors import GeometryError
@@ -46,7 +47,6 @@ from .configurations import (
     family_report,
     h_vector,
 )
-from .verify import SampleSpec, VerificationReport, run_all, run_check
 
 __version__ = "1.0.0"
 
@@ -64,3 +64,10 @@ __all__ = [
     "eleven_points", "family_report", "h_vector",
     "SampleSpec", "VerificationReport", "run_all", "run_check",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("SampleSpec", "VerificationReport", "run_all", "run_check"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

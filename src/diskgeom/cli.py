@@ -14,35 +14,22 @@ check's default tolerance.
 
 from __future__ import annotations
 
-import argparse
 import cmath
-import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import COUNTEREXAMPLE_RESIDUAL, GeometryError
+from .euclid import format_complex
 from .configurations import collinearity_residual, family_report
-from .figures import (
-    FIGURE_IDS,
-    build_figure,
-    figure_json,
-    figure_svg,
-    format_complex,
-)
 from .hyperbolic import conjecture_points
-from .verify import (
-    CHECKS,
-    conjecture_inputs,
-    default_spec,
-    run_all,
-    run_check,
-    sample_circle_quadruple,
-)
+if TYPE_CHECKING:
+    import argparse
 
 _COMPLEX_RE = re.compile(
-    r"""^\s*(?P<re>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
+    r"""^\s*(?P<re>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
         (?:(?P<im>[+-]\d*(?:\.\d*)?(?:[eE][+-]?\d+)?)i
-          |@(?P<arg>[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?))?\s*$""",
+          |@(?P<arg>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?))?\s*$""",
     re.VERBOSE)
 
 
@@ -63,6 +50,7 @@ def parse_complex(text: str) -> complex:
 
 
 def cmd_points(args: argparse.Namespace) -> int:
+    import json
     try:
         a = parse_complex(args.a)
         b = parse_complex(args.b)
@@ -93,6 +81,7 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import CHECKS, run_all
     ids = list(CHECKS) if args.theorem == "all" else [args.theorem]
     unknown = [t for t in ids if t not in CHECKS]
     if unknown:
@@ -109,12 +98,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"tol={report.tolerance:.1e} "
               f"({report.evaluated}/{report.requested} samples)")
     if args.out:
+        import json
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump([report.to_dict() for report in reports], fh, indent=2)
     return 0 if all(report.passed for report in reports) else 1
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
+    import json
+    from .verify import conjecture_inputs, default_spec, run_check, sample_circle_quadruple
     if args.samples < 1:
         return _usage_error(f"--samples must be >= 1, got {args.samples}")
     spec = default_spec("conjecture", args.samples, args.seed)
@@ -140,6 +132,7 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from .figures import FIGURE_IDS, build_figure, figure_json, figure_svg
     if args.id not in FIGURE_IDS:
         return _usage_error(f"unknown figure id {args.id}; valid: {FIGURE_IDS}")
     fig = build_figure(args.id)
@@ -153,6 +146,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="diskgeom",
         description="Unit-disk / Riemann-sphere intersection-point kernel")
@@ -165,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run randomized theorem checks")
     v.add_argument("--theorem", required=True,
-                   help=f"one of: {', '.join(CHECKS)}, or 'all'")
+                   help="a check id (an unknown id lists them), or 'all'")
     v.add_argument("--samples", type=int, default=10000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=None)

@@ -28,6 +28,11 @@ from .errors import (
 INFINITY = complex(math.inf, math.inf)
 
 
+def format_complex(z: complex) -> str:
+    """Round-trippable cartesian form (17 significant digits)."""
+    return f"{z.real:.17g}{z.imag:+.17g}i"
+
+
 def scale_of(*zs: complex) -> float:
     """Magnitude scale used to normalize absolute tolerances."""
     return max(1.0, *map(abs, zs))

@@ -12,7 +12,7 @@ import cmath
 import json
 from dataclasses import dataclass, field
 
-from .euclid import GenCircle, line_intersection
+from .euclid import GenCircle, format_complex, line_intersection
 from .hyperbolic import (
     chord_vs_geodesic_midpoint,
     conjecture_points,
@@ -45,11 +45,6 @@ def _config_figure(fig_id: int, a: complex, b: complex,
             chosen[n] = points[n]
     return FigureData(fig_id, {"a": format_complex(a), "b": format_complex(b)},
                       chosen)
-
-
-def format_complex(z: complex) -> str:
-    """Round-trippable cartesian form (17 significant digits)."""
-    return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
 def figure_1() -> FigureData:

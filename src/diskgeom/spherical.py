@@ -10,7 +10,7 @@ GenCircle forms, intersected by euclid.gencircle_intersection (gcis_roots).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 from .errors import (
     DEGENERACY_TOL, DISK_EDGE_TOL,
@@ -29,8 +29,7 @@ def is_infinity(z: complex) -> bool:
     return math.isinf(z.real) or math.isinf(z.imag)
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(NamedTuple):
     """Point (xi, eta, zeta) on the sphere of center (0,0,1/2), radius 1/2."""
 
     xi: float
@@ -65,7 +64,7 @@ def chordal_distance(x: complex, y: complex) -> float:
             return d / math.hypot(1.0, abs(x)) / math.hypot(1.0, abs(y))
     except OverflowError:       # finite parts, |x|, |y| or |x - y| above the range
         pass
-    return math.dist(astuple(to_sphere(x)), astuple(to_sphere(y)))
+    return math.dist(to_sphere(x), to_sphere(y))
 
 
 def antipodal(a: complex) -> complex:

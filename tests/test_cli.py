@@ -28,12 +28,17 @@ def test_parse_cartesian():
     assert parse_complex("0.3+0.4i") == 0.3 + 0.4j
     assert parse_complex("1-2i") == 1 - 2j
     assert parse_complex("0+i") == 1j
+    assert parse_complex(".5") == 0.5 + 0j
+    assert parse_complex("+.5") == 0.5 + 0j
+    assert parse_complex("-.3+.2i") == -0.3 + 0.2j
 
 
 def test_parse_polar():
     z = parse_complex("0.7@1.0")
     assert abs(z) == pytest.approx(0.7)
     assert math.atan2(z.imag, z.real) == pytest.approx(1.0)
+    assert parse_complex("0.7@.5") == parse_complex("0.7@0.5")
+    assert parse_complex(".7@-.5") == parse_complex("0.7@-0.5")
 
 
 def test_parse_rejects_garbage():

@@ -78,7 +78,7 @@ def _flagged(max_residual):
         mean_residual=max_residual, worst_input=[], passed=True, assertive=False,
         wall_time_s=0.0)
     out = io.StringIO()
-    with mock.patch.object(cli, "run_check", lambda *_: report), \
+    with mock.patch("diskgeom.verify.run_check", lambda *_: report), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["conjecture", "--samples", "2"]) == 0
     return json.loads(out.getvalue())["possible_counterexample"]

@@ -122,10 +122,40 @@ assert "numpy" in sys.modules, "a sample draw ran without numpy"
 """
 
 
-def test_numpy_loads_on_the_first_sample_draw_only():
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports diskgeom from this tree."""
     src = str(Path(diskgeom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _NUMPY_ON_FIRST_DRAW], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_numpy_loads_on_the_first_sample_draw_only():
+    _run_fresh(_NUMPY_ON_FIRST_DRAW)
+
+
+# The package, the CLI and the point path load neither the harness nor figures;
+# the modules loaded before `import diskgeom` (by site, say) do not count.
+_POINT_PATH_FOOTPRINT = """
+import contextlib, io, sys
+before = set(sys.modules)
+import diskgeom, diskgeom.cli
+from diskgeom.configurations import eleven_points, family_report
+eleven_points(0.5, 0.7j)
+family_report(0.5, 0.7j)
+heavy = {"diskgeom.verify", "diskgeom.figures", "dataclasses", "json", "argparse",
+         "numpy"}
+assert not heavy & (set(sys.modules) - before), sorted(heavy & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert diskgeom.cli.main(["points", "--a", "0.5", "--b", "0.7@1"]) == 0
+    assert diskgeom.cli.main(["figure", "--id", "6", "--format", "svg"]) == 0
+assert "diskgeom.verify" not in sys.modules, "points or figure loaded verify"
+assert diskgeom.run_check is sys.modules["diskgeom.verify"].run_check
+assert [name for name in diskgeom.__all__ if not hasattr(diskgeom, name)] == []
+"""
+
+
+def test_import_and_the_point_path_load_no_harness():
+    _run_fresh(_POINT_PATH_FOOTPRINT)
