@@ -12,7 +12,6 @@ checks) load on first use, verify also on the first read of its names here.
 from .errors import GeometryError
 from .euclid import (
     GenCircle,
-    circumcenter,
     line_intersection,
     orthocenter,
 )
@@ -52,7 +51,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "GeometryError",
-    "GenCircle", "circumcenter", "line_intersection", "orthocenter",
+    "GenCircle", "line_intersection", "orthocenter",
     "chord_vs_geodesic_midpoint", "geodesic_endpoints",
     "geodesic_intersection_on_circle",
     "hyperbolic_line", "hyperbolic_midpoint", "midpoint_via_inversion",

@@ -26,11 +26,10 @@ from .hyperbolic import conjecture_points
 if TYPE_CHECKING:
     import argparse
 
-_COMPLEX_RE = re.compile(
-    r"""^\s*(?P<re>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
-        (?:(?P<im>[+-]\d*(?:\.\d*)?(?:[eE][+-]?\d+)?)i
-          |@(?P<arg>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?))?\s*$""",
-    re.VERBOSE)
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# an imaginary part's sign takes a number or nothing: +i, -i mean +-1
+_COMPLEX_RE = re.compile(rf"^\s*(?P<re>[+-]?{_NUMBER})"
+                         rf"(?:(?P<im>[+-](?:{_NUMBER})?)i|@(?P<arg>[+-]?{_NUMBER}))?\s*$")
 
 
 def parse_complex(text: str) -> complex:
@@ -40,7 +39,10 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex literal {text!r}")
     real = float(m.group("re"))
     if m.group("arg") is not None:
-        return cmath.rect(real, float(m.group("arg")))
+        try:
+            return cmath.rect(real, float(m.group("arg")))
+        except ValueError:           # an infinite angle
+            raise ValueError(f"cannot parse complex literal {text!r}") from None
     if m.group("im") is not None:
         imag_text = m.group("im")
         if imag_text in ("+", "-"):

@@ -98,6 +98,7 @@ UNIT_CIRCLE_TOL = 1e-9      # points on the unit circle this close coincide
 TANGENT_SLACK = 1e-9        # relative: a discriminant this far below 0 is a tangency
 ORACLE_MIN_GAP = 1e-6       # midpoint_oracle refuses 1 - |T_x(y)| below this
 INVERSION_MIN_GAP = 1e-6    # midpoint_via_inversion refuses ||a| - |b|| below this
+LENS_MIN_CURVATURE = 2e-3   # midpoint_via_lens refuses a geodesic with |A| below this * |B|
 COUNTEREXAMPLE_RESIDUAL = 1e-6   # diskgeom conjecture flags a larger max residual
 
 

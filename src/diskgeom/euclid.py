@@ -137,16 +137,6 @@ def line_intersection(a: complex, b: complex, c: complex, d: complex) -> complex
     return num / den
 
 
-def circumcenter(a: complex, b: complex, c: complex) -> complex:
-    """Center of the circle through three non-collinear points."""
-    num = abs(a) ** 2 * (b - c) + abs(b) ** 2 * (c - a) + abs(c) ** 2 * (a - b)
-    den = a * (c.conjugate() - b.conjugate()) + b * (a.conjugate() - c.conjugate()) \
-        + c * (b.conjugate() - a.conjugate())
-    if abs(den) <= DEGENERACY_TOL * scale_of(a, b, c) ** 2:
-        raise CollinearPoints("points are collinear")
-    return num / den
-
-
 def gencircle_intersection(g1: GenCircle, g2: GenCircle
                            ) -> tuple[complex, complex] | None:
     """Both intersection points of two lines/circles, or None when they miss.

@@ -7,8 +7,10 @@ import cmath
 import math
 
 from .errors import (
-    DEGENERACY_TOL, DISK_EDGE_TOL, INVERSION_MIN_GAP, POLE_TOL, UNIT_CIRCLE_TOL,
+    DEGENERACY_TOL, DISK_EDGE_TOL, INVERSION_MIN_GAP, LENS_MIN_CURVATURE, POLE_TOL,
+    UNIT_CIRCLE_TOL,
     CoincidentPoints,
+    CollinearPoints,
     DegenerateDenominator,
     EqualModuli,
     InvalidCyclicOrder,
@@ -21,7 +23,6 @@ from .errors import (
 )
 from .euclid import (
     GenCircle,
-    circumcenter,
     gencircle_intersection,
     in_disk_point,
     line_intersection,
@@ -130,22 +131,24 @@ def midpoint_via_lens(a: complex, b: complex) -> complex:
 
     The projected great circle through a and 1/conj(b) meets the unit circle
     in {u, -u}, and the midpoint is the in-disk intersection of the diameter
-    [-u, u] with the circle through a, b, 1/conj(a).  The diameter is the
-    radical line of the great circle (A, B, -A) and the unit circle
-    (1, 0, -1): their difference (0, B, 0) passes through both common points
-    u, -u and through 0.  Every great circle meets the equator, so it always
-    exists.  The circle comes from circumcenter, not GenCircle.through,
-    which loses accuracy as b approaches a.  Both constructions square the
-    modulus of a reflection 1/conj(z), so a point with |z| < 2**-511, 0
-    included, is refused with ZeroPoint.
+    [-u, u] with the geodesic through a, b.  The diameter is the radical line
+    of the great circle (A, B, -A) and the unit circle (1, 0, -1): their
+    difference (0, B, 0) passes through both common points u, -u and through
+    0.  Every great circle meets the equator, so it always exists.  The
+    geodesic is drawn through its endpoints, which keep their digits as b
+    nears a or 0.  The point is up to ~2e-15 |B|/|A| off, relative, so a
+    geodesic with |A| < LENS_MIN_CURVATURE |B|, nearly a diameter, raises
+    CollinearPoints.  The great circle squares |1/conj(b)|, so a point with
+    |z| < 2**-511, 0 included, is refused with ZeroPoint.
     """
     require_in_disk(a, b)
     if min(abs(a), abs(b)) < _TINY:
         raise ZeroPoint("the lens construction needs |a|, |b| >= 2**-511")
     chord = GenCircle(0.0, great_circle_projection(a, 1 / b.conjugate()).B, 0.0)
-    v = circumcenter(a, b, 1 / a.conjugate())
-    target = GenCircle.circle(v, abs(a - v))
-    return in_disk_point(gencircle_intersection(chord, target))
+    geodesic = GenCircle.through(*geodesic_endpoints(a, b), +1)
+    if abs(geodesic.A) < LENS_MIN_CURVATURE * abs(geodesic.B):
+        raise CollinearPoints("the geodesic through a, b is nearly a diameter")
+    return in_disk_point(gencircle_intersection(chord, geodesic))
 
 
 def midpoint_via_inversion(a: complex, b: complex) -> complex:

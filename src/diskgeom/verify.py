@@ -364,13 +364,11 @@ def conjecture_check(a: complex, b: complex, c: complex, d: complex,
 
 
 def mobius_invariance_check(a: complex, b: complex, c: complex, d: complex,
-                            h: complex, w: complex | None = None
-                            ) -> tuple[float, float]:
+                            h: complex) -> tuple[float, float]:
     """Moduli-difference residuals (| |T_w(h)|-|T_w(l)| |, | |T_w(j)|-|T_w(k)| |)
-    for a conjecture configuration; w defaults to 1/conj(g)."""
+    for a conjecture configuration, at the lemma's point w = 1/conj(g)."""
     g, j, k, l = conjecture_points(a, b, c, d, h)
-    if w is None:
-        w = 1 / g.conjugate()
+    w = 1 / g.conjugate()
     return (abs(abs(mobius_T(w, h)) - abs(mobius_T(w, l))),
             abs(abs(mobius_T(w, j)) - abs(mobius_T(w, k))))
 

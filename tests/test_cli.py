@@ -41,10 +41,13 @@ def test_parse_polar():
     assert parse_complex(".7@-.5") == parse_complex("0.7@-0.5")
 
 
-def test_parse_rejects_garbage():
-    for bad in ("", "abc", "1+2j", "0.5@", "@1"):
-        with pytest.raises(ValueError):
+def test_parse_rejects_garbage(capsys):
+    for bad in ("", "abc", "1+2j", "0.5@", "@1", "0.5+.i", "0.5-e3i", "1@1e400"):
+        with pytest.raises(ValueError, match="^cannot parse complex literal"):
             parse_complex(bad)
+        assert main(["points", "--a", bad, "--b", "0.3"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: ValueError: cannot parse complex literal {bad!r}\n"
 
 
 def test_format_round_trips():

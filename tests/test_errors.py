@@ -12,6 +12,7 @@ import pytest
 from diskgeom import cli
 from diskgeom.configurations import build_config
 from diskgeom.errors import (
+    CollinearPoints,
     CollinearWithOrigin,
     EqualModuli,
     GeometryError,
@@ -29,6 +30,7 @@ from diskgeom.hyperbolic import (
     chord_vs_geodesic_midpoint,
     geodesic_intersection_on_circle,
     midpoint_via_inversion,
+    midpoint_via_lens,
     mobius_T,
 )
 from diskgeom.spherical import gcis, orthogonal_great_circle
@@ -129,6 +131,11 @@ BOUNDARIES = {
     "inversion_min_gap_midpoint_via_inversion": (
         lambda b: _refusal(midpoint_via_inversion, 0.5 + 0j, b),
         0.4999989j, None, 0.4999991j, EqualModuli),
+    # LENS_MIN_CURVATURE = 2e-3: the geodesic through 0.5 and b has
+    # |A| / |B| = 2.2e-3, 1.8e-3
+    "lens_min_curvature_midpoint_via_lens": (
+        lambda b: _refusal(midpoint_via_lens, 0.5 + 0j, b),
+        -0.4 + 0.002376j, None, -0.4 + 0.001944j, CollinearPoints),
     # COUNTEREXAMPLE_RESIDUAL = 1e-6: a max residual above it is flagged
     "counterexample_residual_cli_conjecture": (
         _flagged, 1e-6, False, 1.0000000000000002e-6, True),

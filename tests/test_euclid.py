@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 from diskgeom.errors import (
     AntipodalPair,
     CoincidentPoints,
-    CollinearPoints,
     ConcentricCircles,
     DegenerateInput,
     ParallelLines,
@@ -18,7 +17,6 @@ from diskgeom.euclid import (
     DEGENERACY_TOL,
     INFINITY,
     GenCircle,
-    circumcenter,
     gencircle_intersection,
     in_disk_point,
     line_intersection,
@@ -123,40 +121,19 @@ def test_line_intersection_lies_on_both_lines(pts):
 
 
 # ---------------------------------------------------------------------------
-# circumcenter and the curves through a, b and s/conj(a)
-
-
-def test_circumcenter_right_triangle():
-    assert circumcenter(0j, 1 + 0j, 1j) == pytest.approx(0.5 + 0.5j)
-
-
-@given(st.tuples(polar_points(0.05, 2.0), polar_points(0.05, 2.0),
-                 polar_points(0.05, 2.0)))
-def test_circumcenter_equidistant_and_symmetric(pts):
-    a, b, c = pts
-    assume(abs(((b - a) * (c - a).conjugate()).imag) > 0.01)
-    m = circumcenter(a, b, c)
-    assume(abs(m) < 1e3)
-    sc = scale_of(a, b, c, m)
-    assert abs(abs(m - a) - abs(m - b)) <= 1e-9 * sc
-    assert abs(abs(m - a) - abs(m - c)) <= 1e-9 * sc
-    for perm in ((b, a, c), (c, b, a), (b, c, a)):
-        assert abs(circumcenter(*perm) - m) <= 1e-9 * sc
-
-
-def test_circumcenter_collinear_raises():
-    with pytest.raises(CollinearPoints):
-        circumcenter(0j, 1 + 0j, 2 + 0j)
+# the curves through a, b and s/conj(a)
 
 
 @given(st.tuples(polar_points(), polar_points()))
-def test_circumcenter_with_inversion_matches_general_formula(pts):
+def test_through_is_centered_equally_far_from_a_b_and_s_over_conj_a(pts):
     a, b = pts
     assume(well_separated(a, b))
     for sign in (1, -1):
-        through = GenCircle.through(a, b, sign).center
-        general = circumcenter(a, sign / a.conjugate(), b)
-        assert abs(through - general) <= 1e-9 * scale_of(through, general)
+        center = GenCircle.through(a, b, sign).center
+        c = sign / a.conjugate()
+        sc = scale_of(a, b, c, center)
+        assert abs(abs(center - a) - abs(center - b)) <= 1e-9 * sc
+        assert abs(abs(center - a) - abs(center - c)) <= 1e-9 * sc
 
 
 def test_gencircle_constructors_return_gencircles():

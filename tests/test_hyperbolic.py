@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from decimal import localcontext
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -33,7 +34,7 @@ from diskgeom.hyperbolic import (
 from diskgeom.spherical import chordal_midpoint
 from diskgeom.verify import midpoint_oracle
 
-from conftest import endpoint_error, polar_points, unit_circle_points, well_separated
+from conftest import _Dec, endpoint_error, polar_points, unit_circle_points, well_separated
 
 IDENTITY_TOL = 1e-9
 EXACT_TOL = 1e-12
@@ -228,12 +229,65 @@ def test_midpoint_constructions_agree(pts):
 
 @pytest.mark.parametrize("a", [0.3 + 0.2j, -0.5 + 0.1j, 0.6j])
 def test_midpoint_via_lens_keeps_its_accuracy_as_b_approaches_a(a):
-    # circumcenter's circle stays accurate where GenCircle.through's would not
-    for gap in (1e-7, 1e-10):
+    # the geodesic through its endpoints keeps its digits as b nears a
+    for gap in (1e-7, 1e-10, 1e-12):
         b = a + gap * cmath.exp(0.7j)
         assert abs(midpoint_via_lens(a, b) - hyperbolic_midpoint(a, b)) <= 1e-14
-    with pytest.raises(CollinearPoints):
-        midpoint_via_lens(a, a + 1e-12 * cmath.exp(0.7j))
+
+
+def _midpoint_error(m, a, b):
+    """|m - the hyperbolic midpoint of a, b| relative to that midpoint, which
+    is found to 60 digits from the float inputs."""
+    with localcontext(prec=60):
+        x, y = _Dec(a), _Dec(b)
+        x2, y2 = abs(x) * abs(x), abs(y) * abs(y)
+        exact = (x * (1 - y2) + y * (1 - x2)) / (
+            1 - x2 * y2 + abs(1 - x * y.conjugate()) * ((1 - x2) * (1 - y2)).sqrt())
+        return float(abs(_Dec(m) - exact) / abs(exact))
+
+
+# Literal pairs of each regime; at the parent of the endpoint construction
+# the first pairs of "regular", "near collinear with 0" and "tiny |b|" were
+# 2e-12 ... 1 off, with no refusal, and the gaps below 1e-10 were refused.
+_LENS_PAIRS = {
+    "regular": [
+        (0.43336456646431776 + 0.37522567463592665j, 0.052943088189491366 + 0.04403259909403487j),
+        (0.24330481162026027 - 0.5783163534889422j, -0.07551844869125662 + 0.19292139066738362j),
+        (0.40768536822191903 - 0.054007258039165285j, -0.8087810305456298 + 0.10526473454104636j),
+    ],
+    "|a| = |b|": [
+        (-0.23986773742565298 + 0.17500240894130503j, 0.2559855871141713 - 0.15044518530939147j),
+        (0.7128727042638173 - 0.0045415096478240895j, -0.71129814182836 - 0.047558724095845585j),
+    ],
+    "b near a": [(0.3 + 0.2j, 0.3 + 0.2j + gap * cmath.exp(0.7j))
+                 for gap in (1e-7, 1e-10, 1e-12, 1e-14)],
+    "near collinear with 0": [
+        (-0.18393640754733442 - 0.8571390303173012j, -0.1770444853645952 - 0.8249725780427831j),
+        (0.30804057071729996 - 0.6013851773369883j, -0.4237265421804922 + 0.8171087215493928j),
+        (0.39854839051463076 + 0.18710061706102596j, -0.11916384938413752 - 0.055942089170329334j),
+        (0.5294377516146225 + 0.400411447113607j, 0.4499040970178351 + 0.3402602073352123j),
+    ],
+    "tiny |b|": [
+        (0.4837466728658449 + 0.021503961702934064j, -0.00017387926219312408 + 0.001281963891014058j),
+        (-0.1671998671160144 - 0.5284192400270513j, -6.181874771184931e-05 - 0.004189423287952321j),
+        (-0.6153512221410015 - 0.660468548928352j, 1.3436587772491188e-08 + 5.502621638457819e-09j),
+        (-0.4090833612989312 - 0.3793920423898604j, -8.73211924538948e-10 - 1.7637635056817766e-10j),
+        (0.3 + 0.1j, 1e-300j),
+    ],
+}
+
+
+@pytest.mark.parametrize("pairs", _LENS_PAIRS.values(), ids=_LENS_PAIRS)
+def test_midpoint_via_lens_is_accurate_or_refuses(pairs):
+    accepted = 0
+    for a, b in pairs:
+        try:
+            m = midpoint_via_lens(a, b)
+        except (CollinearPoints, ZeroPoint):
+            continue
+        assert _midpoint_error(m, a, b) <= 1e-12, (a, b)
+        accepted += 1
+    assert accepted >= 2
 
 
 @pytest.mark.parametrize("a,b,error", [
