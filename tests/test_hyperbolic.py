@@ -246,9 +246,9 @@ def _midpoint_error(m, a, b):
         return float(abs(_Dec(m) - exact) / abs(exact))
 
 
-# Literal pairs of each regime; at the parent of the endpoint construction
-# the first pairs of "regular", "near collinear with 0" and "tiny |b|" were
-# 2e-12 ... 1 off, with no refusal, and the gaps below 1e-10 were refused.
+# Literal pairs of each regime.  The circumcenter construction this replaced
+# put the first pairs of "regular", "near collinear with 0" and "tiny |b|"
+# 8e-12 ... 1e-10 off, with no refusal, and refused the gaps below 1e-10.
 _LENS_PAIRS = {
     "regular": [
         (0.43336456646431776 + 0.37522567463592665j, 0.052943088189491366 + 0.04403259909403487j),
