@@ -5,8 +5,14 @@ form A|z|^2 + conj(B) z + B conj(z) + C = 0 with A, C real (Schwerdtfeger,
 Geometry of Complex Numbers, 1962); lines are A = 0.  The curves through
 a, b with C = sA are the geodesics of the unit disk (s = +1, orthogonal to
 the unit circle) and the projected great circles (s = -1, through
-antipodes).  Refusal thresholds come from errors.py: DEGENERACY_TOL is
-scaled by the operands' magnitude here, in_disk_point's margin is absolute.
+antipodes).  Under the lift l_s(z) = (2x, 2y, |z|^2 + s) such a curve is
+the plane n . l_s(z) = 0 through 0, n = (Re B, Im B, A) (normal): l_s(z)
+points at z's image on the Riemann sphere for s = -1, and it is the
+hyperboloid model for s = +1.  So two curves of one family meet along
+n1 x n2 (meet; Richter-Gebert, Perspectives on Projective Geometry, 2011,
+ch. 1-2; Cannon, Floyd, Kenyon and Parry, Hyperbolic geometry, MSRI Publ.
+31, 1997).  Refusal thresholds come from errors.py; DEGENERACY_TOL is
+scaled by the operands' magnitude here.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .errors import (
-    DEGENERACY_TOL, DISK_EDGE_TOL, TANGENT_SLACK,
+    DEGENERACY_TOL, MEET_MIN_SINE,
     AntipodalPair,
     CoincidentPoints,
     CollinearPoints,
@@ -26,6 +32,8 @@ from .errors import (
 )
 
 INFINITY = complex(math.inf, math.inf)
+Normal = tuple[complex, float]      # (B, A): the normal (Re B, Im B, A)
+_MIN_SINE2 = MEET_MIN_SINE * MEET_MIN_SINE   # meet compares squared norms
 
 
 def format_complex(z: complex) -> str:
@@ -66,26 +74,11 @@ class GenCircle(NamedTuple):
 
     @classmethod
     def through(cls, a: complex, b: complex, s: float) -> GenCircle:
-        """The curve through a, b with C = sA, hence also through s/conj(a).
-
-        s = +1 gives the curves orthogonal to the unit circle (geodesics),
-        s = -1 the stereographic projections of great circles; both are the
-        line through 0 when a, b, 0 are collinear.  The coefficients vanish
-        only for a == b and for b == s/conj(a) (the antipode of a for s = -1,
-        its mirror image in the unit circle for s = +1), which are refused.
-        """
-        if a == b:
-            raise CoincidentPoints("a curve through a, b needs a != b")
-        ra, rb = abs(a), abs(b)
-        a2, b2 = ra ** 2, rb ** 2
-        A = 2 * (b * a.conjugate()).imag
-        B = 1j * (b * (s + a2) - a * (s + b2))
-        # For b = s/conj(a) rounded to a float, A and B are not exactly 0 but
-        # the rounding error of their products, a few ulps of this operand
-        # scale; the curve they span is noise, so refuse it like exact 0.
-        if abs(A) + abs(B) <= 4 * 2 ** -52 * (rb * (1 + a2) + ra * (1 + b2)):
-            raise AntipodalPair("b = s/conj(a) lies on every curve of the family")
-        return cls(A, B, s * A)
+        """The curve through a, b with C = sA, hence also through s/conj(a):
+        normal(a, b, s) as a form, with its refusals."""
+        B, A = normal(a, b, s)
+        # tuple.__new__ skips the generated __new__'s frame, as NamedTuple._make does
+        return tuple.__new__(cls, (A, B, s * A))
 
     def _root(self) -> float:
         """sqrt(|B|^2 - AC): |A| times the radius, or |B| for a line."""
@@ -109,6 +102,55 @@ class GenCircle(NamedTuple):
         """Euclidean distance from z to the curve."""
         f = self.A * abs(z) ** 2 + 2 * (self.B.conjugate() * z).real + self.C
         return abs(f) / (abs(self.A * z + self.B) + self._root())
+
+
+def normal(a: complex, b: complex, s: float) -> Normal:
+    """Normal (B, A) of the curve through a, b with C = sA.
+
+    s = +1 gives the curves orthogonal to the unit circle (geodesics),
+    s = -1 the stereographic projections of great circles; both are the
+    line through 0 when a, b, 0 are collinear.  The coefficients vanish
+    only for a == b and for b == s/conj(a) (the antipode of a for s = -1,
+    its mirror image in the unit circle for s = +1), which are refused.
+    """
+    if a == b:
+        raise CoincidentPoints("a curve through a, b needs a != b")
+    ra, rb = abs(a), abs(b)
+    a2, b2 = ra ** 2, rb ** 2
+    A = 2 * (b * a.conjugate()).imag
+    B = 1j * (b * (s + a2) - a * (s + b2))
+    # For b = s/conj(a) rounded to a float, A and B are not exactly 0 but
+    # the rounding error of their products, a few ulps of this operand
+    # scale; the curve they span is noise, so refuse it like exact 0.
+    if abs(A) + abs(B) <= 4 * 2 ** -52 * (rb * (1 + a2) + ra * (1 + b2)):
+        raise AntipodalPair("b = s/conj(a) lies on every curve of the family")
+    return B, A
+
+
+def meet(n1: Normal, n2: Normal, s: float) -> complex:
+    """The meet z, |z| <= 1, of the curves with normals n1, n2 of the family
+    C = sA; the other root is s/conj(z).  For n1 x n2 = (X, Y, Z) it is
+    (X + iY) / (sZ + sgn(sZ) sqrt(Z^2 - s(X^2 + Y^2))): the denominator adds
+    two terms of one sign, and a negative radicand (s = +1 only) means the
+    curves miss (NoRealIntersection).  A 60-digit sweep found z up to
+    ~1e-15 / sin(theta) off, relative, for the angle theta between n1 and
+    n2, so sin(theta) <= MEET_MIN_SINE raises ParallelLines for two lines,
+    ConcentricCircles for other curves.
+    """
+    (B1, A1), (B2, A2) = n1, n2
+    x1, y1, x2, y2 = B1.real, B1.imag, B2.real, B2.imag
+    X, Y, Z = y1 * A2 - A1 * y2, A1 * x2 - x1 * A2, x1 * y2 - y1 * x2
+    XY, ZZ = X * X + Y * Y, Z * Z
+    if XY + ZZ <= _MIN_SINE2 * (x1 * x1 + y1 * y1 + A1 * A1) \
+            * (x2 * x2 + y2 * y2 + A2 * A2):
+        if A1 == A2 == 0:
+            raise ParallelLines("the lines coincide")
+        raise ConcentricCircles("the curves coincide")
+    D = ZZ - s * XY
+    if D < 0:
+        raise NoRealIntersection("the curves do not meet")
+    sZ = s * Z
+    return complex(X, Y) / (sZ + math.copysign(math.sqrt(D), sZ))
 
 
 def midpoint_numerator(a: complex, b: complex, a2: float, b2: float, s: float) -> complex:
@@ -137,41 +179,6 @@ def line_intersection(a: complex, b: complex, c: complex, d: complex) -> complex
     return num / den
 
 
-def gencircle_intersection(g1: GenCircle, g2: GenCircle
-                           ) -> tuple[complex, complex] | None:
-    """Both intersection points of two lines/circles, or None when they miss.
-
-    Rotating the pencil of g1, g2 by the angle of (A1, A2) gives a line L
-    (their radical line) and a curve G with A >= 0 through the same points;
-    the points are the roots of G along L.  Two lines (A1 = A2 = 0, which
-    atan2 maps to angle 0) meet at one finite point and at INFINITY.
-    """
-    A1, B1, C1 = g1
-    A2, B2, C2 = g2
-    theta = math.atan2(A2, A1)
-    c, s = math.cos(theta), math.sin(theta)
-    bl, cl = s * B1 - c * B2, s * C1 - c * C2
-    a, bgc, cg = c * A1 + s * A2, (c * B1 + s * B2).conjugate(), c * C1 + s * C2
-    nl = abs(bl)
-    if nl <= DEGENERACY_TOL * (abs(s * B1) + abs(c * B2)):
-        raise ConcentricCircles("the circles are concentric or coincide")
-    n = bl / nl                    # unit normal of L
-    p = -cl / (2 * nl) * n         # foot of the perpendicular from 0 to L
-    u = 1j * n                     # z = p + t u runs along L
-    # G(p + t u) = a t^2 + 2 h t + k, with bgc = conj(B) of G
-    h = (bgc * u).real
-    k = a * abs(p) ** 2 + 2 * (bgc * p).real + cg
-    disc = h * h - a * k
-    if disc < -TANGENT_SLACK * (h * h + abs(a * k)):
-        return None
-    q = -(h + math.copysign(math.sqrt(max(disc, 0.0)), h))
-    if a == 0 and abs(q) <= DEGENERACY_TOL * abs(bgc):
-        raise ParallelLines("the lines are parallel or coincide")
-    if q == 0:                     # L touches G at p
-        return p, p
-    return p + k / q * u, (p + q / a * u if a else INFINITY)
-
-
 def orthocenter(p1: complex, p2: complex, p3: complex) -> complex:
     """Orthocenter of a non-degenerate triangle."""
     cross = ((p2 - p1) * (p3 - p1).conjugate()).imag
@@ -180,12 +187,3 @@ def orthocenter(p1: complex, p2: complex, p3: complex) -> complex:
     # altitude from p1 is perpendicular to p2-p3, similarly from p2
     return line_intersection(p1, p1 + 1j * (p3 - p2), p2, p2 + 1j * (p3 - p1))
 
-
-def in_disk_point(points: tuple[complex, complex] | None) -> complex:
-    """Pick the intersection point inside the open unit disk."""
-    if points is None:
-        raise NoRealIntersection("curves do not intersect")
-    inside = [z for z in points if abs(z) < 1 - DISK_EDGE_TOL]
-    if not inside:
-        raise NoRealIntersection("no intersection point inside the disk")
-    return min(inside, key=abs) if len(inside) == 2 else inside[0]

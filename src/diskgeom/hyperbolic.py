@@ -16,19 +16,14 @@ from .errors import (
     InvalidCyclicOrder,
     NearBoundary,
     NoInDiskRoot,
+    NoRealIntersection,
     OriginIntersection,
     PoleHit,
     ZeroPoint,
     require_in_disk,
 )
-from .euclid import (
-    GenCircle,
-    gencircle_intersection,
-    in_disk_point,
-    line_intersection,
-)
+from .euclid import GenCircle, line_intersection
 from . import euclid
-from .spherical import great_circle_projection
 
 _TINY = 2.0 ** -511    # |1/conj(z)|^2 = |z|^-2 is finite for |z| >= _TINY
 
@@ -144,11 +139,11 @@ def midpoint_via_lens(a: complex, b: complex) -> complex:
     require_in_disk(a, b)
     if min(abs(a), abs(b)) < _TINY:
         raise ZeroPoint("the lens construction needs |a|, |b| >= 2**-511")
-    chord = GenCircle(0.0, great_circle_projection(a, 1 / b.conjugate()).B, 0.0)
-    geodesic = GenCircle.through(*geodesic_endpoints(a, b), +1)
-    if abs(geodesic.A) < LENS_MIN_CURVATURE * abs(geodesic.B):
+    chord = (euclid.normal(a, 1 / b.conjugate(), -1)[0], 0.0)
+    B, A = geodesic = euclid.normal(*geodesic_endpoints(a, b), +1)
+    if abs(A) < LENS_MIN_CURVATURE * abs(B):
         raise CollinearPoints("the geodesic through a, b is nearly a diameter")
-    return in_disk_point(gencircle_intersection(chord, geodesic))
+    return _disk_meet(chord, geodesic)
 
 
 def midpoint_via_inversion(a: complex, b: complex) -> complex:
@@ -165,9 +160,17 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
     c = line_intersection(a, b, a_end, b_end)
     if abs(c) <= 1:
         raise NoInDiskRoot("inversion center inside the unit circle")
-    inv_circle = GenCircle(1.0, -c, 1.0)   # center c, orthogonal to |z| = 1
-    return in_disk_point(
-        gencircle_intersection(hyperbolic_line(a, b), inv_circle))
+    # the circle around c orthogonal to |z| = 1 is |z|^2 - 2 Re(conj(c) z) + 1 = 0
+    return _disk_meet(euclid.normal(a, b, +1), (-c, 1.0))
+
+
+def _disk_meet(n1: euclid.Normal, n2: euclid.Normal) -> complex:
+    """euclid.meet of two curves of the s = +1 family; a point within
+    DISK_EDGE_TOL of the unit circle, or none, raises NoRealIntersection."""
+    z = euclid.meet(n1, n2, +1)
+    if abs(z) < 1 - DISK_EDGE_TOL:
+        return z
+    raise NoRealIntersection("the curves meet on or near the unit circle")
 
 
 def chord_vs_geodesic_midpoint(a: complex, b: complex, c: complex, d: complex

@@ -4,7 +4,8 @@ The sphere has center (0, 0, 1/2) and radius 1/2; the plane point z maps to
 (Re z, Im z, |z|^2) / (1 + |z|^2) and infinity maps to the north pole.
 The point at infinity is represented by INFINITY; any complex number with an
 infinite component is treated as that point.  Projected great circles are
-GenCircle forms, intersected by euclid.gencircle_intersection (gcis_roots).
+GenCircle forms with C = -A; two of them meet along the cross product of
+their lifted normals (euclid.meet, in gcis_roots).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     NoRealIntersection,
     require_in_disk,
 )
-from .euclid import INFINITY, GenCircle, line_intersection
+from .euclid import INFINITY, GenCircle, line_intersection, meet, normal
 from . import euclid
 
 
@@ -86,15 +87,12 @@ def great_circle_projection(a: complex, b: complex) -> GenCircle:
 def gcis_roots(a: complex, b: complex, c: complex, d: complex
                ) -> tuple[complex, complex]:
     """Both intersection points of the projected great circles through
-    (a,b) and (c,d), by gencircle_intersection: a pair of sphere antipodes,
-    0 and INFINITY when both circles are lines through 0.  A pair spanning
-    no unique great circle raises AntipodalPair, and two coincident great
-    circles raise ConcentricCircles."""
-    pts = euclid.gencircle_intersection(great_circle_projection(a, b),
-                                        great_circle_projection(c, d))
-    if pts is None:
-        raise NoRealIntersection("projected great circles do not meet")
-    return pts
+    (a,b) and (c,d): their meet z, |z| <= 1, and its antipode -1/conj(z),
+    or 0 and INFINITY when both circles are lines through 0.  A pair
+    spanning no unique great circle raises AntipodalPair, and two coincident
+    great circles raise ConcentricCircles (ParallelLines for two lines)."""
+    z = meet(normal(a, b, -1), normal(c, d, -1), -1)
+    return (z, -1 / z.conjugate()) if z else (z, INFINITY)
 
 
 def gcis(a: complex, b: complex, c: complex, d: complex) -> complex:

@@ -434,8 +434,8 @@ def _residual_midpoint_constructions(sample: Sequence[complex]) -> float:
     residuals = [
         abs(midpoint_via_lens(a, b) - m),
         abs(midpoint_via_inversion(a, b) - m),
-        abs(rho(a, m) - rho(b, m)),
-        abs(rho(a, m) + rho(m, b) - rho(a, b)),
+        abs((am := rho(a, m)) - rho(b, m)),
+        abs(am + rho(m, b) - rho(a, b)),
     ]
     return max(residuals)
 

@@ -12,10 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 from diskgeom.errors import (
     CoincidentPoints,
     CollinearWithOrigin,
+    ConcentricCircles,
     DegenerateDenominator,
     GeometryError,
     NearBoundary,
-    NoRealIntersection,
     OutsideDisk,
     ParallelLines,
     ZeroPoint,
@@ -810,7 +810,7 @@ def test_pq_synthetic_path_picks_roots_as_the_conj_q_pick_did():
             for syn, pick, closed in ((syn_p, syn_pc, p), (syn_q, syn_qc, q)):
                 assert (pick * closed.conjugate()).real > 0 \
                     or abs(syn - closed) > abs(closed), (a, b)
-    assert {"value", NoRealIntersection, ParallelLines} <= kinds
+    assert {"value", ConcentricCircles, ParallelLines} <= kinds
     assert differ > 0
 
 

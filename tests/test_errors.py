@@ -13,6 +13,7 @@ from diskgeom import cli
 from diskgeom.configurations import build_config
 from diskgeom.errors import (
     CollinearPoints,
+    ConcentricCircles,
     CollinearWithOrigin,
     EqualModuli,
     GeometryError,
@@ -24,7 +25,7 @@ from diskgeom.errors import (
     PointOutsideDisk,
     PoleHit,
 )
-from diskgeom.euclid import GenCircle, gencircle_intersection, in_disk_point
+from diskgeom.euclid import meet
 from diskgeom.hyperbolic import (
     check_cyclic_order,
     chord_vs_geodesic_midpoint,
@@ -46,9 +47,8 @@ CASES = [
     (PointOutsideDisk,
      lambda: conjecture_check(cmath.exp(0.3j), cmath.exp(1.5j), cmath.exp(3j),
                               cmath.exp(4.5j), 1.5 + 0j)),
-    (NoRealIntersection,
-     lambda: in_disk_point(gencircle_intersection(
-         GenCircle.circle(0j, 1.0), GenCircle.circle(5 + 0j, 1.0)))),
+    # the geodesics around 2 and -2 are disjoint: the radicand is 0 - 4^2
+    (NoRealIntersection, lambda: meet((-2 + 0j, 1.0), (2 + 0j, 1.0), +1)),
     # four points within 3e-9 rad: the crossing is ~9e-10 inside the circle,
     # but cancellation in the closed form leaves neither root inside
     (NoInDiskRoot,
@@ -86,6 +86,14 @@ def _flagged(max_residual):
     return json.loads(out.getvalue())["possible_counterexample"]
 
 
+def _midpoints_refusing_a_meet_at(z):
+    """What midpoint_via_lens and midpoint_via_inversion raise, if anything,
+    for a regular pair when their meet of two geodesics lands at z."""
+    with mock.patch("diskgeom.euclid.meet", lambda *_: z):
+        return (_refusal(midpoint_via_lens, 0.5 + 0j, 0.2 + 0.6j),
+                _refusal(midpoint_via_inversion, 0.5 + 0j, 0.2 + 0.6j))
+
+
 # One row per threshold of the refusal policy (errors.py): a probe, a literal
 # input just on its accepting side with the probe's result there, and one just
 # on its refusing side with that result.
@@ -102,10 +110,16 @@ BOUNDARIES = {
     "pole_mobius_T": (
         lambda z: _refusal(mobius_T, 0.5 + 0j, z),
         1.9999999999999978 + 0j, None, 1.999999999999998 + 0j, PoleHit),
-    # DISK_EDGE_TOL = 1e-12: |z| = 1 - 1.1e-12, 1 - 0.9e-12
-    "disk_edge_in_disk_point": (
-        lambda z: _refusal(in_disk_point, (z, 5 + 0j)),
-        0.9999999999989 + 0j, None, 0.9999999999991 + 0j, NoRealIntersection),
+    # MEET_MIN_SINE = 1e-9: the normals (0, 0, 1) of the equator and
+    # (t, 0, 1) of a great circle are t / sqrt(1 + t^2) apart (sine)
+    "meet_min_sine_meet": (
+        lambda t: _refusal(meet, (0j, 1.0), (complex(t), 1.0), -1),
+        1.1e-9, None, 0.9e-9, ConcentricCircles),
+    # DISK_EDGE_TOL = 1e-12: the lens and the inversion take a meet with
+    # |z| = 1 - 1.1e-12 and refuse one with 1 - 0.9e-12
+    "disk_edge_midpoint_via_lens_and_inversion": (
+        _midpoints_refusing_a_meet_at, 0.9999999999989 + 0j, (None, None),
+        0.9999999999991 + 0j, (NoRealIntersection, NoRealIntersection)),
     # DISK_EDGE_TOL: the real axis and the great circle through r and 0.5i
     # cross at r and -1/r; r = 1 + 0.9e-12 counts as in the closed disk and
     # is nearer the chords' crossing, r = 1 + 1.1e-12 leaves only -1/r
@@ -116,13 +130,6 @@ BOUNDARIES = {
     "unit_circle_check_cyclic_order": (
         lambda z: _refusal(check_cyclic_order, (z, 1j, -1 + 0j, -1j)),
         1.0000000009 + 0j, None, 1.0000000011 + 0j, InvalidCyclicOrder),
-    # TANGENT_SLACK = 1e-9: the circle of center 0.5i and radius 1 and the line
-    # Re z = x have discriminant 1 - x^2 against the slack 1e-9 (0.25 + 0.25);
-    # x - 1 = 2.2e-10 touches, 2.8e-10 misses
-    "tangent_slack_gencircle_intersection": (
-        lambda x: gencircle_intersection(GenCircle.circle(0.5j, 1.0),
-                                         GenCircle.line(x, x + 1j)) is None,
-        1.00000000022 + 0j, False, 1.00000000028 + 0j, True),
     # ORACLE_MIN_GAP = 1e-6: T_0(y) = y, 1 - |y| = 1.1e-6, 0.9e-6
     "oracle_min_gap_midpoint_oracle": (
         lambda y: _refusal(midpoint_oracle, 0j, y),

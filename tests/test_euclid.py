@@ -11,15 +11,15 @@ from diskgeom.errors import (
     CoincidentPoints,
     ConcentricCircles,
     DegenerateInput,
+    NoRealIntersection,
     ParallelLines,
 )
 from diskgeom.euclid import (
     DEGENERACY_TOL,
-    INFINITY,
     GenCircle,
-    gencircle_intersection,
-    in_disk_point,
     line_intersection,
+    meet,
+    normal,
     orthocenter,
     scale_of,
 )
@@ -173,79 +173,59 @@ def test_curve_through_a_pair_refuses_coincident_and_antipodal_points():
         great_circle_projection(a, antipodal(a) * cmath.exp(1e-13j))
 
 
-def test_nearly_diametral_curves_meet_the_unit_circle_near_the_diameter():
+def test_nearly_diametral_great_circle_meets_the_equator_near_the_diameter():
     # 1e-12 rad off collinear with 0: the true crossings sit ~1e-11 from +-1
     a, b = 0.5 + 0j, cmath.rect(0.75, 1e-12)
-    unit_circle = GenCircle.circle(0j, 1.0)
-    for curve in (hyperbolic_line(a, b), great_circle_projection(a, b)):
-        pts = gencircle_intersection(unit_circle, curve)
-        assert pts is not None
-        for z in pts:
-            assert min(abs(z - 1), abs(z + 1)) <= 1e-10
-            assert curve.residual(z) <= EXACT_TOL
+    curve = great_circle_projection(a, b)
+    z = meet(normal(a, b, -1), (0j, 1.0), -1)    # the equator |z| = 1
+    for root in (z, -1 / z.conjugate()):
+        assert min(abs(root - 1), abs(root + 1)) <= 1e-10
+        assert abs(abs(root) - 1) <= EXACT_TOL
+        assert curve.residual(root) <= EXACT_TOL
 
 
 # ---------------------------------------------------------------------------
-# circle/line intersections
+# meets of two curves of one family
 
 
-def test_circle_circle_intersection_symmetric_pair():
-    pts = gencircle_intersection(GenCircle.circle(0j, 1.0),
-                                 GenCircle.circle(1 + 0j, 1.0))
-    assert pts is not None
-    expected = 0.5 + 1j * math.sqrt(3) / 2
-    assert sorted(pts, key=lambda z: z.imag) == [
-        pytest.approx(expected.conjugate()), pytest.approx(expected)]
+def _sine_between(n1, n2):
+    """|n1 x n2| / (|n1| |n2|): the sine of the angle between two normals."""
+    (x1, y1, z1), (x2, y2, z2) = [(B.real, B.imag, A) for B, A in (n1, n2)]
+    cross = math.hypot(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    return cross / math.hypot(x1, y1, z1) / math.hypot(x2, y2, z2)
 
 
-def test_circle_circle_disjoint_returns_none():
-    assert gencircle_intersection(GenCircle.circle(0j, 1.0),
-                                  GenCircle.circle(5 + 0j, 1.0)) is None
+@given(st.tuples(polar_points(0.05, 0.95), polar_points(0.05, 2.0),
+                 polar_points(0.05, 2.0)), st.sampled_from((1, -1)))
+def test_meet_returns_the_in_disk_root_and_both_roots_lie_on_both_curves(pts, s):
+    # the curves through w, a and through w, c meet at the disk point w
+    w, a, c = pts
+    assume(well_separated(w, a) and well_separated(w, c))
+    assume(min(abs(a - s / w.conjugate()), abs(c - s / w.conjugate())) > 0.05)
+    n1, n2 = normal(w, a, s), normal(w, c, s)
+    assume(_sine_between(n1, n2) > 0.05)
+    z = meet(n1, n2, s)
+    assert abs(z - w) <= 1e-12
+    curves = (GenCircle.through(w, a, s), GenCircle.through(w, c, s))
+    for root in (z, s / z.conjugate()):
+        for curve in curves:
+            assert curve.residual(root) <= 1e-12 * scale_of(root)
 
 
-def test_line_circle_intersection_diameter():
-    pts = gencircle_intersection(GenCircle.line(-2 + 0j, 2 + 0j),
-                                 GenCircle.circle(0j, 1.0))
-    assert pts is not None
-    assert sorted(pts, key=lambda z: z.real) == [
-        pytest.approx(-1 + 0j), pytest.approx(1 + 0j)]
-
-
-@given(st.tuples(polar_points(0.05, 2.0), polar_points(0.05, 2.0),
-                 polar_points(0.05, 2.0), polar_points(0.05, 2.0)))
-def test_line_line_intersection_agrees_with_line_intersection(pts):
-    a, b, c, d = pts
-    assume(abs(a - b) > 0.05 and abs(c - d) > 0.05)
-    try:
-        want = line_intersection(a, b, c, d)
-    except ParallelLines:
-        return
-    assume(abs(want) < 1e3)
-    near, far = gencircle_intersection(GenCircle.line(a, b), GenCircle.line(c, d))
-    assert abs(near - want) <= 1e-9 * scale_of(a, b, c, d, want) ** 2
-    assert far == INFINITY
-
-
-def test_parallel_lines_raise():
-    with pytest.raises(ParallelLines):
-        gencircle_intersection(GenCircle.line(0j, 1 + 0j),
-                               GenCircle.line(1j, 1 + 1j))
-    with pytest.raises(ParallelLines):
-        line = GenCircle.line(0.2 + 0.1j, -0.7 + 0.4j)
-        gencircle_intersection(line, line)
-
-
-def test_concentric_circles_raise():
+def test_meet_refuses_coincident_curves_and_disjoint_geodesics():
+    n = normal(0.3 + 0.4j, -0.5 + 0.2j, +1)
     with pytest.raises(ConcentricCircles):
-        gencircle_intersection(GenCircle.circle(0.3 + 0.1j, 1.0),
-                               GenCircle.circle(0.3 + 0.1j, 2.0))
-    with pytest.raises(ConcentricCircles):
-        circle = GenCircle.circle(0.3 + 0.1j, 1.0)
-        gencircle_intersection(circle, circle)
-
-
-def test_in_disk_point_picks_interior_root():
-    assert in_disk_point((0.5 + 0j, 2 + 0j)) == 0.5 + 0j
+        meet(n, (-n[0], -n[1]), +1)
+    with pytest.raises(ParallelLines):          # the real axis, twice
+        meet((1j, 0.0), (-2j, 0.0), -1)
+    # the geodesics through 0.9, 0.9i and through -0.9, -0.9i do not meet
+    with pytest.raises(NoRealIntersection):
+        meet(normal(0.9 + 0j, 0.9j, +1), normal(-0.9 + 0j, -0.9j, +1), +1)
+    # the geodesics around 2 and -2, their normals scaled by 1e-3: the
+    # radicand is -1.6e-11, not far below 0, and still refused
+    with pytest.raises(NoRealIntersection):
+        meet((-2e-3 + 0j, 1e-3), (2e-3 + 0j, 1e-3), +1)
+    assert meet((1j, 0.0), (1 + 0j, 0.0), +1) == 0    # two diameters
 
 
 # ---------------------------------------------------------------------------
