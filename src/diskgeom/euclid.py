@@ -6,9 +6,9 @@ Geometry of Complex Numbers, 1962); lines are A = 0.  The curves through
 a, b with C = sA are the geodesics of the unit disk (s = +1, orthogonal to
 the unit circle) and the projected great circles (s = -1, through
 antipodes).  Under the lift l_s(z) = (2x, 2y, |z|^2 + s) such a curve is
-the plane n . l_s(z) = 0 through 0, n = (Re B, Im B, A) (normal): l_s(z)
-points at z's image on the Riemann sphere for s = -1, and it is the
-hyperboloid model for s = +1.  So two curves of one family meet along
+the plane n . l_s(z) = 0 through 0, n = (Re B, Im B, A), which normal
+gives as the pair (B, A).  l_s(z) points at z's image on the Riemann sphere
+for s = -1, and it is the hyperboloid model for s = +1.  So two curves of one family meet along
 n1 x n2 (meet; Richter-Gebert, Perspectives on Projective Geometry, 2011,
 ch. 1-2; Cannon, Floyd, Kenyon and Parry, Hyperbolic geometry, MSRI Publ.
 31, 1997).  Refusal thresholds come from errors.py; DEGENERACY_TOL is
@@ -133,7 +133,7 @@ def meet(n1: Normal, n2: Normal, s: float) -> complex:
     (X + iY) / (sZ + sgn(sZ) sqrt(Z^2 - s(X^2 + Y^2))): the denominator adds
     two terms of one sign, and a negative radicand (s = +1 only) means the
     curves miss (NoRealIntersection).  A 60-digit sweep found z up to
-    ~1e-15 / sin(theta) off, relative, for the angle theta between n1 and
+    ~4e-15 / sin(theta) off, relative, for the angle theta between n1 and
     n2, so sin(theta) <= MEET_MIN_SINE raises ParallelLines for two lines,
     ConcentricCircles for other curves.
     """

@@ -13,8 +13,8 @@ from diskgeom import cli
 from diskgeom.configurations import build_config
 from diskgeom.errors import (
     CollinearPoints,
-    ConcentricCircles,
     CollinearWithOrigin,
+    ConcentricCircles,
     EqualModuli,
     GeometryError,
     InvalidCyclicOrder,

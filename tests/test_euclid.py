@@ -23,7 +23,6 @@ from diskgeom.euclid import (
     orthocenter,
     scale_of,
 )
-from diskgeom.hyperbolic import hyperbolic_line
 from diskgeom.spherical import antipodal, great_circle_projection
 
 from conftest import polar_points, unit_circle_points, well_separated
