@@ -194,16 +194,25 @@ def _sine_between(n1, n2):
     return cross / math.hypot(x1, y1, z1) / math.hypot(x2, y2, z2)
 
 
+def _through_w(pts, s):
+    """Normals of the curves through w, a and through w, c, kept only when
+    the pair is well apart, or None."""
+    w, a, c = pts
+    if not (well_separated(w, a) and well_separated(w, c)) \
+            or min(abs(a - s / w.conjugate()), abs(c - s / w.conjugate())) <= 0.05:
+        return None
+    n1, n2 = normal(w, a, s), normal(w, c, s)
+    return (n1, n2) if _sine_between(n1, n2) > 0.05 else None
+
+
 @given(st.tuples(polar_points(0.05, 0.95), polar_points(0.05, 2.0),
                  polar_points(0.05, 2.0)), st.sampled_from((1, -1)))
 def test_meet_returns_the_in_disk_root_and_both_roots_lie_on_both_curves(pts, s):
     # the curves through w, a and through w, c meet at the disk point w
     w, a, c = pts
-    assume(well_separated(w, a) and well_separated(w, c))
-    assume(min(abs(a - s / w.conjugate()), abs(c - s / w.conjugate())) > 0.05)
-    n1, n2 = normal(w, a, s), normal(w, c, s)
-    assume(_sine_between(n1, n2) > 0.05)
-    z = meet(n1, n2, s)
+    normals = _through_w(pts, s)
+    assume(normals is not None)
+    z = meet(*normals, s)
     assert abs(z - w) <= 1e-12
     curves = (GenCircle.through(w, a, s), GenCircle.through(w, c, s))
     for root in (z, s / z.conjugate()):
@@ -225,6 +234,69 @@ def test_meet_refuses_coincident_curves_and_disjoint_geodesics():
     with pytest.raises(NoRealIntersection):
         meet((-2e-3 + 0j, 1e-3), (2e-3 + 0j, 1e-3), +1)
     assert meet((1j, 0.0), (1 + 0j, 0.0), +1) == 0    # two diameters
+
+
+def test_meet_refuses_coincident_great_circles_whatever_their_scale():
+    n = normal(0.3 + 0.4j, -0.5 + 0.2j, -1)
+    with pytest.raises(ConcentricCircles):
+        meet(n, (2.5 * n[0], 2.5 * n[1]), -1)
+
+
+def test_meet_of_two_great_circles_symmetric_pair():
+    # |z -+ 1|^2 = 2 (B = -+1, A = 1, C = -1) cross at the antipodes +-i
+    z = meet((-1 + 0j, 1.0), (1 + 0j, 1.0), -1)
+    assert sorted((z, -1 / z.conjugate()), key=lambda w: w.imag) == [
+        pytest.approx(-1j), pytest.approx(1j)]
+
+
+def test_meet_of_two_geodesic_circles_symmetric_pair():
+    # |z - c|^2 = |c|^2 - 1 for c = +-0.8 + 1.2i cross on the imaginary
+    # axis where 0.64 + (y - 1.2)^2 = 1.08, at y = 1.2 -+ sqrt(0.44)
+    z = meet((-0.8 - 1.2j, 1.0), (0.8 - 1.2j, 1.0), +1)
+    assert z == pytest.approx((1.2 - math.sqrt(0.44)) * 1j)
+    assert 1 / z.conjugate() == pytest.approx((1.2 + math.sqrt(0.44)) * 1j)
+
+
+@pytest.mark.parametrize("s, B, inside, outside", [
+    (-1, -0.75 + 0j, -0.5 + 0j, 2 + 0j),    # |z - 0.75|^2 = 1.5625
+    (+1, -1.25 + 0j, 0.5 + 0j, 2 + 0j),     # |z - 1.25|^2 = 0.5625
+])
+def test_meet_of_a_diameter_and_a_circle_of_the_family(s, B, inside, outside):
+    z = meet((1j, 0.0), (B, 1.0), s)    # the real axis
+    assert z == pytest.approx(inside)
+    assert s / z.conjugate() == pytest.approx(outside)
+
+
+def test_meet_of_geodesics_touching_on_the_unit_circle_is_the_touching_point():
+    # |z - (+-1 + i)| = 1 touch at i: the radicand is exactly 0
+    assert meet((-1 - 1j, 1.0), (1 - 1j, 1.0), +1) == 1j
+
+
+@given(st.tuples(polar_points(0.05, 0.95), polar_points(0.05, 2.0),
+                 polar_points(0.05, 2.0)), st.sampled_from((1, -1)),
+       st.floats(1e-3, 1e3), st.sampled_from((1, -1)))
+def test_meet_is_symmetric_and_ignores_the_scale_and_sign_of_a_normal(
+        pts, s, k, sign):
+    normals = _through_w(pts, s)
+    assume(normals is not None)
+    (B1, A1), n2 = normals
+    z = meet((B1, A1), n2, s)
+    assert meet(n2, (B1, A1), s) == z
+    assert meet((-B1, -A1), n2, s) == z
+    k *= sign
+    assert abs(meet((k * B1, k * A1), n2, s) - z) <= 1e-12
+
+
+@given(st.tuples(polar_points(0.05, 0.95), polar_points(0.05, 2.0),
+                 polar_points(0.05, 2.0)), st.sampled_from((1, -1)),
+       unit_circle_points())
+def test_meet_turns_with_a_rotation_of_both_curves(pts, s, u):
+    # z -> uz takes the curve with normal (B, A) to the one with (uB, A)
+    normals = _through_w(pts, s)
+    assume(normals is not None)
+    (B1, A1), (B2, A2) = normals
+    z = meet((u * B1, A1), (u * B2, A2), s)
+    assert abs(z - u * meet((B1, A1), (B2, A2), s)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
