@@ -2,15 +2,19 @@
 
 From two disk points a, b (nonzero, non-collinear with 0) we derive the
 unit-circle reflections a_star = 1/conj(a), b_star and the geodesic
-endpoints a_end, b_end.  The line family k, s, t, u, v, the great-circle
-family k_c ... v_c, and the p/q family each have two evaluation paths:
-synthetic intersections and closed forms, which must agree.
+endpoints a_end, b_end.  Each entry point (build_config, family_report and
+h_family, so eleven_points) validates the pair once, by _check_pair, and
+takes the endpoints from hyperbolic.geodesic_end, without
+geodesic_endpoints' second check.  The line family k, s, t, u, v, the
+great-circle family k_c ... v_c, and the p/q family each have two
+evaluation paths: synthetic intersections and closed forms, which must agree.
 
 One straight-line kernel per family (_line_family, _chordal_family,
 _pq_family) holds the closed forms over what _moduli computes once per pair.
 Only the line family can refuse: it appends its points to one list, a
 degenerate point as its GeometryError instance, and returns the first such
-error, which h_family raises and family_report reports per point.  The
+error, which h_family raises and family_report reports per point (it
+walks the points one by one only when there is such an error).  The
 great-circle and p/q kernels divide by sums of positive terms and return
 their points.  The synthetic paths use no closed form.
 
@@ -47,13 +51,14 @@ from .errors import (
     require_in_disk,
 )
 from .euclid import line_intersection, midpoint_denominator, midpoint_numerator
-from .hyperbolic import geodesic_endpoints
+from .hyperbolic import geodesic_end
 from .spherical import gcis, gcis_roots, quadratic_root
 
 _FAR = 2.0 ** 510                  # collinearity_residual's NaN bound on |z|
 
 _NAMES = ("k", "s", "t", "u", "v", "m", "k_c", "s_c", "t_c", "u_c", "v_c",
           "p", "q", "p_c", "q_c", "H")                    # PointFamily order
+_REPORT_NAMES = ("a_star", "b_star", "a_end", "b_end", *_NAMES)  # family_report order
 
 
 class DiskConfig(NamedTuple):
@@ -108,8 +113,8 @@ def _check_pair(a: complex, b: complex) -> None:
 def build_config(a: complex, b: complex) -> DiskConfig:
     """Validate a, b and derive reflections and geodesic endpoints."""
     _check_pair(a, b)
-    a_end, b_end = geodesic_endpoints(a, b)
-    return DiskConfig(a, b, 1 / a.conjugate(), 1 / b.conjugate(), a_end, b_end)
+    return DiskConfig(a, b, 1 / a.conjugate(), 1 / b.conjugate(),
+                      geodesic_end(a, b), geodesic_end(b, a))
 
 
 def _moduli(a: complex, b: complex) -> tuple:
@@ -268,26 +273,31 @@ def family_report(a: complex, b: complex
     """Every named point computed independently, with per-point status.
 
     Returns (points, statuses, residual): statuses map each name to "ok" or
-    the degeneracy message of a line-family point; residual is the
-    collinearity residual of the H-family points it computed with the origin,
-    taken over the distinct ones.
+    the degeneracy message of a line-family point, which points then lacks;
+    residual is the collinearity residual of the H-family points it computed
+    with the origin, taken over the distinct ones.  The pair is validated
+    once, by _check_pair, and the endpoints come from geodesic_end.
     """
-    cfg = build_config(a, b)
-    points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
-              "a_end": cfg.a_end, "b_end": cfg.b_end}
-    statuses = dict.fromkeys([*points, *_NAMES], "ok")
+    _check_pair(a, b)
+    points = {"a_star": 1 / a.conjugate(), "b_star": 1 / b.conjugate(),
+              "a_end": geodesic_end(a, b), "b_end": geodesic_end(b, a)}
+    statuses = dict.fromkeys(_REPORT_NAMES, "ok")
     re, mab, m1, a2, b2, ab2, H = _moduli(a, b)
     line = []
-    _line_family(re, mab, m1, ab2, H, line)
+    error = _line_family(re, mab, m1, ab2, H, line)
     kc, sc, uc = _chordal_family(mab, m1, a2, b2, H)
     m = H / midpoint_denominator(a2, b2, m1, 1)
-    for name, value in zip(_NAMES, [*line, m, kc, sc, -sc, uc, -kc,
-                                    *_pq_family(b, mab, m1, a2, b2, ab2, H), H]):
-        if isinstance(value, GeometryError):
-            statuses[name] = f"degenerate: {value}"
-        else:
-            points[name] = value
-    line = [z for z in line if not isinstance(z, GeometryError)]
+    values = zip(_NAMES, [*line, m, kc, sc, -sc, uc, -kc,
+                          *_pq_family(b, mab, m1, a2, b2, ab2, H), H])
+    if error is None:
+        points.update(values)
+    else:
+        for name, value in values:
+            if isinstance(value, GeometryError):
+                statuses[name] = f"degenerate: {value}"
+            else:
+                points[name] = value
+        line = [z for z in line if not isinstance(z, GeometryError)]
     return points, statuses, collinearity_residual([0j, *line, m, kc, sc, uc])
 
 
@@ -306,6 +316,7 @@ def eleven_points(a: complex, b: complex) -> tuple[PointFamily, float]:
     eleven H-direction points with the origin."""
     points, (_, mab, m1, a2, b2, ab2, H) = h_family(a, b)
     k, s, t, u, v, m, kc, sc, uc = points
-    return (PointFamily(k, s, t, u, v, m, kc, sc, -sc, uc, -kc,
-                        *_pq_family(b, mab, m1, a2, b2, ab2, H), H),
+    # tuple.__new__ skips the generated __new__'s frame, as NamedTuple._make does
+    return (tuple.__new__(PointFamily, (k, s, t, u, v, m, kc, sc, -sc, uc, -kc,
+                                        *_pq_family(b, mab, m1, a2, b2, ab2, H), H)),
             collinearity_residual([0j, *points]))

@@ -54,9 +54,11 @@ def mobius_T(a: complex, z: complex) -> complex:
     return (z - a) / den
 
 
-def _end(x: complex, y: complex) -> complex:
+def geodesic_end(x: complex, y: complex) -> complex:
     """Endpoint on the x side of the geodesic through x, y: T_{-x}(-u) for
-    u = T_x(y)/|T_x(y)|, written out, as mobius_T can refuse x near |x| = 1."""
+    u = T_x(y)/|T_x(y)|, written out, as mobius_T can refuse x near |x| = 1.
+    It validates x only (in mobius_T): callers that have already validated
+    the pair, as configurations._check_pair does, call it directly."""
     w = mobius_T(x, y)
     u = w / abs(w)
     return (x - u) / (1 - x.conjugate() * u)
@@ -68,7 +70,7 @@ def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
     if a == b:
         raise CoincidentPoints("geodesic endpoints need distinct points")
     require_in_disk(a, b)
-    return _end(a, b), _end(b, a)
+    return geodesic_end(a, b), geodesic_end(b, a)
 
 
 def hyperbolic_line(a: complex, b: complex) -> GenCircle:
@@ -151,17 +153,24 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
 
     c is the intersection of L[a,b] with the line through the geodesic
     endpoints; the circle around c orthogonal to the unit circle cuts the
-    geodesic at the midpoint, ~2e-17 / ||a| - |b|| off as the two lines turn
-    parallel; a gap below INVERSION_MIN_GAP raises EqualModuli.
+    geodesic (A, B, A) through a, b at the midpoint.  The point is ~2e-17 /
+    ||a| - |b|| off as the two lines turn parallel, so a gap below
+    INVERSION_MIN_GAP raises EqualModuli.  It is also up to ~1.3e-14 |B|/|A|
+    off, relative, as the two lines coincide (a, b and 0 nearly collinear,
+    or |b| tiny), so |A| < LENS_MIN_CURVATURE |B| raises CollinearPoints, as
+    in midpoint_via_lens.
     """
     if abs(abs(a) - abs(b)) < INVERSION_MIN_GAP:
         raise EqualModuli(f"||a| - |b|| is below {INVERSION_MIN_GAP:g}")
     a_end, b_end = geodesic_endpoints(a, b)
+    B, A = geodesic = euclid.normal(a, b, +1)
+    if abs(A) < LENS_MIN_CURVATURE * abs(B):
+        raise CollinearPoints("the geodesic through a, b is nearly a diameter")
     c = line_intersection(a, b, a_end, b_end)
     if abs(c) <= 1:
         raise NoInDiskRoot("inversion center inside the unit circle")
     # the circle around c orthogonal to |z| = 1 is |z|^2 - 2 Re(conj(c) z) + 1 = 0
-    return _disk_meet(euclid.normal(a, b, +1), (-c, 1.0))
+    return _disk_meet(geodesic, (-c, 1.0))
 
 
 def _disk_meet(n1: euclid.Normal, n2: euclid.Normal) -> complex:

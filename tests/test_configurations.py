@@ -20,10 +20,11 @@ from diskgeom.errors import (
     ParallelLines,
     ZeroPoint,
 )
-from diskgeom.euclid import GenCircle, line_intersection, scale_of
+from diskgeom.euclid import GenCircle, line_intersection, midpoint_denominator, scale_of
 from diskgeom.spherical import gcis_roots
 from diskgeom import configurations
 from diskgeom.configurations import (
+    DiskConfig,
     PointFamily,
     build_config,
     collinearity_residual,
@@ -34,7 +35,7 @@ from diskgeom.configurations import (
     h_vector,
     pq_family,
 )
-from diskgeom.hyperbolic import hyperbolic_midpoint
+from diskgeom.hyperbolic import geodesic_endpoints, hyperbolic_midpoint
 from diskgeom.verify import _residual_eleven_points, default_spec, sample_disk_pair
 
 from conftest import _Dec, endpoint_error, polar_points, well_separated
@@ -620,6 +621,78 @@ def test_kernels_match_the_closed_form_table_they_replaced():
             if outcome[2:] != ("denominator of k vanishes",):
                 assert repr(outcome) == repr(_outcome(old)), (a, b)
     assert {"value", CollinearWithOrigin, DegenerateDenominator} <= kinds
+
+
+def _reference_build_config(a, b):
+    """build_config as it was: _check_pair, then geodesic_endpoints, which
+    validates the pair a second time."""
+    configurations._check_pair(a, b)
+    a_end, b_end = geodesic_endpoints(a, b)
+    return DiskConfig(a, b, 1 / a.conjugate(), 1 / b.conjugate(), a_end, b_end)
+
+
+def _reference_family_report(a, b):
+    """family_report as it was: through a DiskConfig, and one loop over all
+    sixteen names whether or not a line-family point refused."""
+    cfg = _reference_build_config(a, b)
+    points = {"a_star": cfg.a_star, "b_star": cfg.b_star,
+              "a_end": cfg.a_end, "b_end": cfg.b_end}
+    statuses = dict.fromkeys([*points, *configurations._NAMES], "ok")
+    re, mab, m1, a2, b2, ab2, H = configurations._moduli(a, b)
+    line = []
+    configurations._line_family(re, mab, m1, ab2, H, line)
+    kc, sc, uc = configurations._chordal_family(mab, m1, a2, b2, H)
+    m = H / midpoint_denominator(a2, b2, m1, 1)
+    pq = configurations._pq_family(b, mab, m1, a2, b2, ab2, H)
+    for name, value in zip(configurations._NAMES,
+                           [*line, m, kc, sc, -sc, uc, -kc, *pq, H]):
+        if isinstance(value, GeometryError):
+            statuses[name] = f"degenerate: {value}"
+        else:
+            points[name] = value
+    line = [z for z in line if not isinstance(z, GeometryError)]
+    return points, statuses, collinearity_residual([0j, *line, m, kc, sc, uc])
+
+
+def _report_outcome(fn, a, b):
+    """fn(a, b) with dicts as their item lists, so that key order counts, and
+    floats by repr; or the class and message of its GeometryError."""
+    try:
+        result = fn(a, b)
+    except GeometryError as exc:
+        return ("error", type(exc), str(exc))
+    if isinstance(result, DiskConfig):
+        return ("value", repr(result))
+    points, statuses, residual = result
+    return ("value", repr(list(points.items())), list(statuses.items()), repr(residual))
+
+
+def test_family_report_and_build_config_keep_the_reference_layout_bit_for_bit():
+    kinds = set()
+    k_root = (0.6 + 0j, 0.2835975753991721 + 0.09783872049301807j)
+    for a, b in _regular_and_near_pairs() + [k_root]:
+        for new, old in ((family_report, _reference_family_report),
+                         (build_config, _reference_build_config)):
+            outcome = _report_outcome(new, a, b)
+            assert outcome == _report_outcome(old, a, b), (a, b, new.__name__)
+            kinds.add(outcome[1] if outcome[0] == "error" else "value")
+            if new is family_report and outcome[0] == "value":
+                kinds.update(s for _, s in outcome[2] if s != "ok")
+    assert {"value", CollinearWithOrigin, "degenerate: denominator of k vanishes"} <= kinds
+
+
+@pytest.mark.parametrize("a, b, error, message", [
+    (0j, 1.5 + 0j, ZeroPoint, "a and b must be nonzero"),
+    (1.5 + 0.5j, 1.5 + 0.5j, OutsideDisk, "points must lie in the open unit disk"),
+    (0.3 + 0.3j, 0.3 + 0.3j, CoincidentPoints, "a and b must be distinct"),
+], ids=["zero_and_outside", "equal_and_outside", "equal_and_collinear"])
+def test_an_input_that_trips_two_guards_raises_the_first(a, b, error, message):
+    for fn in (family_report, eleven_points, configurations.h_family, build_config):
+        with pytest.raises(error) as info:
+            fn(a, b)
+        assert str(info.value) == message, fn.__name__
+    for fn in (_reference_family_report, _reference_build_config):
+        assert _report_outcome(fn, a, b) == ("error", error, message)
 
 
 def _new_closed_forms(a, b, mab, m1, a2, b2, ab2, H, num):

@@ -143,6 +143,10 @@ BOUNDARIES = {
     "lens_min_curvature_midpoint_via_lens": (
         lambda b: _refusal(midpoint_via_lens, 0.5 + 0j, b),
         -0.4 + 0.002376j, None, -0.4 + 0.001944j, CollinearPoints),
+    # LENS_MIN_CURVATURE = 2e-3 in midpoint_via_inversion, on the same pairs
+    "lens_min_curvature_midpoint_via_inversion": (
+        lambda b: _refusal(midpoint_via_inversion, 0.5 + 0j, b),
+        -0.4 + 0.002376j, None, -0.4 + 0.001944j, CollinearPoints),
     # COUNTEREXAMPLE_RESIDUAL = 1e-6: a max residual above it is flagged
     "counterexample_residual_cli_conjecture": (
         _flagged, 1e-6, False, 1.0000000000000002e-6, True),

@@ -319,6 +319,44 @@ def test_midpoint_via_inversion_equal_moduli_raises():
         midpoint_via_inversion(0.5 + 0j, 0.5j)
 
 
+# Literal pairs of the two regimes where L[a,b] and the endpoint chord nearly
+# coincide.  Without the LENS_MIN_CURVATURE refusal the inversion returned
+# the first pairs of each regime 2e-9 ... 2.2e-3 off; their geodesics have
+# |A|/|B| of 7e-13 ... 8e-8.  The last three have |A|/|B| of 3e-3 ... 7e-3.
+_INVERSION_PAIRS = {
+    "near collinear with 0": [
+        (0.40628174233822145 - 0.20955568856472107j, 0.49218197834614547 - 0.2538620994857304j),
+        (-0.5835525420053785 - 0.5077249119614725j, -0.36075433846370497 - 0.3138774134117446j),
+        (-0.35506282331801986 - 0.39995908688045645j, -0.5651952060940113 - 0.6366618678232254j),
+        (0.5633385544946062 + 0.23610459123284236j, -0.7387817072065317 - 0.3030743905420494j),
+        (0.11575887153083184 + 0.3235812733212059j, 0.1970714741963867 + 0.5474741689501796j),
+        (0.4713428648033995 + 0.36013796987403457j, -0.3435094008418163 - 0.2575066152522364j),
+    ],
+    "tiny |b|": [
+        (0.7439238653572801 + 0.5611692941527602j, 1.1289227511944645e-12 + 4.058015289947438e-13j),
+        (-0.23117743609850325 - 0.16024126979248318j, -9.319120619735302e-11 - 4.944870309499919e-10j),
+        (-0.1042037835804529 - 0.0407780384464421j, -5.408352336984625e-09 + 2.8140767656031242e-08j),
+        (-0.18754429210341153 - 0.09139445761561635j, 0.0017825225588863744 - 0.0014569796147463664j),
+        (0.297754486286145 - 0.21395091063427116j, 0.0006583038039729504 - 0.002528801474806851j),
+        (0.12207429313564715 - 0.005124992422560036j, -0.004087161781407129 + 0.003449388009428846j),
+    ],
+}
+
+
+@pytest.mark.parametrize("pairs", _INVERSION_PAIRS.values(), ids=_INVERSION_PAIRS)
+def test_midpoint_via_inversion_refuses_a_nearly_straight_geodesic(pairs):
+    outcomes = []
+    for a, b in pairs:
+        try:
+            m = midpoint_via_inversion(a, b)
+        except CollinearPoints:
+            outcomes.append("refused")
+            continue
+        assert _midpoint_error(m, a, b) <= 1e-12, (a, b)
+        outcomes.append("accepted")
+    assert outcomes == ["refused"] * 3 + ["accepted"] * 3
+
+
 # ---------------------------------------------------------------------------
 # geodesic intersections for cyclic quadruples
 
