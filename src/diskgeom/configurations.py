@@ -3,11 +3,12 @@
 From two disk points a, b (nonzero, non-collinear with 0) we derive the
 unit-circle reflections a_star = 1/conj(a), b_star and the geodesic
 endpoints a_end, b_end.  Each entry point (build_config, family_report and
-h_family, so eleven_points) validates the pair once, by _check_pair, and
-takes the endpoints from hyperbolic.geodesic_end, without
-geodesic_endpoints' second check.  The line family k, s, t, u, v, the
-great-circle family k_c ... v_c, and the p/q family each have two
-evaluation paths: synthetic intersections and closed forms, which must agree.
+h_family, so eleven_points) validates the pair once, by _check_pair;
+build_config and family_report then take the endpoints from
+hyperbolic.geodesic_end, without geodesic_endpoints' second check.  The line
+family k, s, t, u, v, the great-circle family k_c ... v_c, and the p/q
+family each have two evaluation paths: synthetic intersections and closed
+forms, which must agree.
 
 One straight-line kernel per family (_line_family, _chordal_family,
 _pq_family) holds the closed forms over what _moduli computes once per pair.

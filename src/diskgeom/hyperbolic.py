@@ -155,7 +155,7 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
     endpoints; the circle around c orthogonal to the unit circle cuts the
     geodesic (A, B, A) through a, b at the midpoint.  The point is ~2e-17 /
     ||a| - |b|| off as the two lines turn parallel, so a gap below
-    INVERSION_MIN_GAP raises EqualModuli.  It is also up to ~1.3e-14 |B|/|A|
+    INVERSION_MIN_GAP raises EqualModuli.  It is also up to ~2e-14 |B|/|A|
     off, relative, as the two lines coincide (a, b and 0 nearly collinear,
     or |b| tiny), so |A| < LENS_MIN_CURVATURE |B| raises CollinearPoints, as
     in midpoint_via_lens.
