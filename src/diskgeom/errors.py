@@ -11,11 +11,13 @@ class GeometryError(ValueError):
 
 
 class DegenerateInput(GeometryError):
-    """Two defining points of a line coincide."""
+    """A line through coincident points, a circle radius that is not positive
+    and finite, or the center or radius of a line."""
 
 
 class ParallelLines(GeometryError):
-    """The two lines do not meet (intersection denominator vanished)."""
+    """line_intersection's lines are parallel or coincide, or meet's two
+    lines through 0 coincide."""
 
 
 class CollinearWithOrigin(GeometryError):
@@ -23,11 +25,12 @@ class CollinearWithOrigin(GeometryError):
 
 
 class CollinearPoints(GeometryError):
-    """Three points meant to span a circle or triangle are collinear."""
+    """Three points meant to span a triangle are collinear (orthocenter), or
+    the geodesic of the lens or inversion midpoint is nearly a diameter."""
 
 
 class ConcentricCircles(GeometryError):
-    """Distinct circles with a common center have no intersection."""
+    """meet's curves coincide: their normals are under MEET_MIN_SINE apart."""
 
 
 class OutsideDisk(GeometryError):
@@ -51,7 +54,7 @@ class DegenerateDenominator(GeometryError):
 
 
 class NoInDiskRoot(GeometryError):
-    """Neither root of the intersection quadratic lies inside the disk."""
+    """midpoint_via_inversion's inversion center lies in the closed disk."""
 
 
 class EqualModuli(GeometryError):
@@ -71,7 +74,8 @@ class NearBoundary(GeometryError):
 
 
 class NoRealIntersection(GeometryError):
-    """No intersection point found where one must exist (corrupt input)."""
+    """meet's geodesics are disjoint (a valid input), the lens or inversion
+    meet lies on or near the unit circle, or gcis's root is NaN."""
 
 
 class InvalidCyclicOrder(GeometryError):
@@ -97,7 +101,8 @@ DISK_EDGE_TOL = 1e-12       # a root this close to the unit circle lies on it
 UNIT_CIRCLE_TOL = 1e-9      # points on the unit circle this close coincide
 ORACLE_MIN_GAP = 1e-6       # midpoint_oracle refuses 1 - |T_x(y)| below this
 INVERSION_MIN_GAP = 1e-6    # midpoint_via_inversion refuses ||a| - |b|| below this
-LENS_MIN_CURVATURE = 2e-3   # lens and inversion midpoints refuse a geodesic with |A| < this * |B|
+LENS_MIN_CURVATURE = 2e-3   # midpoint_via_lens refuses a geodesic with |A| < this * |B|
+INVERSION_MIN_CURVATURE = 3e-3   # midpoint_via_inversion refuses |A| < this * |B|
 MEET_MIN_SINE = 1e-9        # euclid.meet refuses curves whose normals are closer (sine)
 COUNTEREXAMPLE_RESIDUAL = 1e-6   # diskgeom conjecture flags a larger max residual
 

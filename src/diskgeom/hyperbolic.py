@@ -7,11 +7,10 @@ import cmath
 import math
 
 from .errors import (
-    DEGENERACY_TOL, DISK_EDGE_TOL, INVERSION_MIN_GAP, LENS_MIN_CURVATURE, POLE_TOL,
-    UNIT_CIRCLE_TOL,
+    DEGENERACY_TOL, DISK_EDGE_TOL, INVERSION_MIN_CURVATURE, INVERSION_MIN_GAP,
+    LENS_MIN_CURVATURE, POLE_TOL, UNIT_CIRCLE_TOL,
     CoincidentPoints,
     CollinearPoints,
-    DegenerateDenominator,
     EqualModuli,
     InvalidCyclicOrder,
     NearBoundary,
@@ -107,20 +106,17 @@ def check_cyclic_order(points: tuple[complex, ...]) -> None:
 def geodesic_intersection_on_circle(a: complex, b: complex, c: complex,
                                     d: complex) -> complex:
     """In-disk intersection w of the geodesics through (a,c) and (b,d), for
-    a, b, c, d on the unit circle in positive cyclic order."""
+    a, b, c, d on the unit circle in positive cyclic order.  The closed
+    form's roots (P +- root) / (a - b + c - d), P = ac - bd, are w and
+    1/conj(w) and multiply to Q / (a - b + c - d), Q = ab(c - d) + cd(a - b).
+    So w = Q / N, N the one of P +- root that adds two terms: no step
+    cancels, and two diameters give Q = 0, so w = 0."""
     check_cyclic_order((a, b, c, d))
-    den = a - b + c - d
-    if abs(den) <= DEGENERACY_TOL:
-        # two perpendicular diameters: both geodesics pass through 0
-        if abs(a + c) <= UNIT_CIRCLE_TOL and abs(b + d) <= UNIT_CIRCLE_TOL:
-            return 0j
-        raise DegenerateDenominator("a - b + c - d vanishes")
-    root = cmath.sqrt((a - b) * (b - c) * (c - d) * (d - a))
-    cands = [((a * c - b * d) + s * root) / den for s in (1, -1)]
-    inside = [w for w in cands if abs(w) < 1 - DISK_EDGE_TOL]
-    if len(inside) != 1:
-        raise NoInDiskRoot("root selection ambiguous; check the ordering")
-    return inside[0]
+    ab, cd = a - b, c - d
+    P = a * cd + d * ab
+    root = cmath.sqrt(ab * (b - c) * cd * (d - a))
+    N = P + root if (P * root.conjugate()).real >= 0 else P - root
+    return (a * b * cd + c * d * ab) / N
 
 
 def midpoint_via_lens(a: complex, b: complex) -> complex:
@@ -157,14 +153,14 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
     ||a| - |b|| off as the two lines turn parallel, so a gap below
     INVERSION_MIN_GAP raises EqualModuli.  It is also up to ~2e-14 |B|/|A|
     off, relative, as the two lines coincide (a, b and 0 nearly collinear,
-    or |b| tiny), so |A| < LENS_MIN_CURVATURE |B| raises CollinearPoints, as
-    in midpoint_via_lens.
+    or |b| tiny), so |A| < INVERSION_MIN_CURVATURE |B| raises
+    CollinearPoints, as the lens does at its own cut.
     """
     if abs(abs(a) - abs(b)) < INVERSION_MIN_GAP:
         raise EqualModuli(f"||a| - |b|| is below {INVERSION_MIN_GAP:g}")
     a_end, b_end = geodesic_endpoints(a, b)
     B, A = geodesic = euclid.normal(a, b, +1)
-    if abs(A) < LENS_MIN_CURVATURE * abs(B):
+    if abs(A) < INVERSION_MIN_CURVATURE * abs(B):
         raise CollinearPoints("the geodesic through a, b is nearly a diameter")
     c = line_intersection(a, b, a_end, b_end)
     if abs(c) <= 1:

@@ -96,27 +96,20 @@ def gcis_roots(a: complex, b: complex, c: complex, d: complex
 
 
 def gcis(a: complex, b: complex, c: complex, d: complex) -> complex:
-    """In-disk intersection of the projected great circles through (a,b), (c,d).
-
-    When both roots lie on the unit circle, the root on the same side as the
-    Euclidean line intersection of the two defining chords is returned.
-    """
-    z1, z2 = gcis_roots(a, b, c, d)
-    in1, in2 = abs(z1) <= 1 + DISK_EDGE_TOL, abs(z2) <= 1 + DISK_EDGE_TOL  # NaN: False
-    if in1 and in2:               # on a tie, or a NaN distance, the first root
-        ref = _tiebreak_reference(a, b, c, d)
-        return z2 if abs(z2 - ref) < abs(z1 - ref) else z1
-    if in1 or in2:
-        return z1 if in1 else z2
-    raise NoRealIntersection("no root in the closed unit disk")
-
-
-def _tiebreak_reference(a: complex, b: complex, c: complex, d: complex) -> complex:
-    """Reference point selecting between two on-circle intersection roots."""
-    try:
-        return line_intersection(a, b, c, d)
+    """In-disk intersection of the projected great circles through (a,b), (c,d):
+    their meet z, |z| <= 1.  When its antipode lies on the unit circle too,
+    the root nearer the crossing of the chords L[a,b], L[c,d] (their mean
+    point if they are parallel) is returned."""
+    z, antipode = gcis_roots(a, b, c, d)
+    if not abs(z) <= 1 + DISK_EDGE_TOL:      # meet gives |z| <= 1: a NaN root
+        raise NoRealIntersection("no root in the closed unit disk")
+    if not abs(antipode) <= 1 + DISK_EDGE_TOL:
+        return z
+    try:                                     # a tie: both roots on the circle
+        ref = line_intersection(a, b, c, d)
     except euclid.ParallelLines:
-        return (a + b + c + d) / 4
+        ref = (a + b + c + d) / 4
+    return antipode if abs(antipode - ref) < abs(z - ref) else z   # tie or NaN: z
 
 
 def gencircle_from_pair_intersection(a: complex, b: complex, c: complex,

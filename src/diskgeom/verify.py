@@ -384,12 +384,16 @@ def _residual_five_points_collinear(sample: Sequence[complex]) -> float:
     return collinearity_residual([0j, k, s, t, u, v, hyperbolic_midpoint(a, b)])
 
 
+def _agreement(xs: Sequence[complex], ys: Sequence[complex]) -> float:
+    """How far two paths to the same points disagree: max |x - y| / max(1, |x|, |y|)."""
+    return max(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(xs, ys))
+
+
 def _residual_explicit_formulas(sample: Sequence[complex]) -> float:
     a, b = sample
     cfg = build_config(a, b)
-    syn = five_points_euclid(cfg, path="synthetic")
-    closed = five_points_euclid(cfg, path="closed_form")
-    return max(abs(x - y) / scale_of(x, y) for x, y in zip(syn, closed))
+    return _agreement(five_points_euclid(cfg, path="synthetic"),
+                      five_points_euclid(cfg, path="closed_form"))
 
 
 def _residual_five_points_chordal(sample: Sequence[complex]) -> float:
@@ -397,11 +401,9 @@ def _residual_five_points_chordal(sample: Sequence[complex]) -> float:
     cfg = build_config(a, b)
     via_gcis = five_points_chordal(cfg, path="gcis")
     via_quad = kc, sc, _, uc, _ = five_points_chordal(cfg, path="quadratic")
-    # scale_of(x, y), inlined
-    agreement = max(abs(x - y) / max(1.0, abs(x), abs(y))
-                    for x, y in zip(via_gcis, via_quad))
     # t_c = -s_c and v_c = -k_c add no bit to the residual about 0
-    return max(agreement, collinearity_residual([0j, kc, sc, uc]))
+    return max(_agreement(via_gcis, via_quad),
+               collinearity_residual([0j, kc, sc, uc]))
 
 
 def _residual_eleven_points(sample: Sequence[complex]) -> float:
@@ -419,8 +421,7 @@ def _residual_pq_collinear(sample: Sequence[complex]) -> float:
     cfg = build_config(a, b)
     closed = pq_family(cfg, path="closed_form")
     syn = pq_family(cfg, path="synthetic")
-    agreement = max(abs(x - y) / scale_of(x, y) for x, y in zip(closed, syn))
-    return max(agreement, collinearity_residual([0j, *closed]))
+    return max(_agreement(closed, syn), collinearity_residual([0j, *closed]))
 
 
 def _residual_lens_lemma(sample: Sequence[complex]) -> float:

@@ -29,13 +29,19 @@ from diskgeom.euclid import meet
 from diskgeom.hyperbolic import (
     check_cyclic_order,
     chord_vs_geodesic_midpoint,
-    geodesic_intersection_on_circle,
     midpoint_via_inversion,
     midpoint_via_lens,
     mobius_T,
 )
 from diskgeom.spherical import gcis, orthogonal_great_circle
 from diskgeom.verify import VerificationReport, conjecture_check, midpoint_oracle
+
+def _inversion_centered_at(c):
+    """midpoint_via_inversion on a regular pair whose inversion center,
+    L[a,b] ^ the endpoint chord, is put at c."""
+    with mock.patch("diskgeom.hyperbolic.line_intersection", lambda *_: c):
+        return midpoint_via_inversion(0.5 + 0j, 0.2 + 0.6j)
+
 
 CASES = [
     # 2 = 1/conj(0.5) is the pole of T_0.5
@@ -49,11 +55,8 @@ CASES = [
                               cmath.exp(4.5j), 1.5 + 0j)),
     # the geodesics around 2 and -2 are disjoint: the radicand is 0 - 4^2
     (NoRealIntersection, lambda: meet((-2 + 0j, 1.0), (2 + 0j, 1.0), +1)),
-    # four points within 3e-9 rad: the crossing is ~9e-10 inside the circle,
-    # but cancellation in the closed form leaves neither root inside
-    (NoInDiskRoot,
-     lambda: geodesic_intersection_on_circle(
-         *[cmath.exp(1j * (1 + k * 1e-9)) for k in range(4)])),
+    # an inversion center inside the unit circle spans no orthogonal circle
+    (NoInDiskRoot, lambda: _inversion_centered_at(0.5j)),
 ]
 
 
@@ -143,10 +146,11 @@ BOUNDARIES = {
     "lens_min_curvature_midpoint_via_lens": (
         lambda b: _refusal(midpoint_via_lens, 0.5 + 0j, b),
         -0.4 + 0.002376j, None, -0.4 + 0.001944j, CollinearPoints),
-    # LENS_MIN_CURVATURE = 2e-3 in midpoint_via_inversion, on the same pairs
-    "lens_min_curvature_midpoint_via_inversion": (
+    # INVERSION_MIN_CURVATURE = 3e-3: the geodesic through 0.5 and b has
+    # |A| / |B| = 3.3e-3, 2.7e-3
+    "inversion_min_curvature_midpoint_via_inversion": (
         lambda b: _refusal(midpoint_via_inversion, 0.5 + 0j, b),
-        -0.4 + 0.002376j, None, -0.4 + 0.001944j, CollinearPoints),
+        -0.4 + 0.003564j, None, -0.4 + 0.002916j, CollinearPoints),
     # COUNTEREXAMPLE_RESIDUAL = 1e-6: a max residual above it is flagged
     "counterexample_residual_cli_conjecture": (
         _flagged, 1e-6, False, 1.0000000000000002e-6, True),

@@ -32,7 +32,7 @@ from diskgeom.hyperbolic import (
     rho,
 )
 from diskgeom.spherical import chordal_midpoint
-from diskgeom.verify import midpoint_oracle
+from diskgeom.verify import SampleSpec, midpoint_oracle, sample_circle_quadruple
 
 from conftest import _Dec, endpoint_error, polar_points, unit_circle_points, well_separated
 
@@ -320,7 +320,7 @@ def test_midpoint_via_inversion_equal_moduli_raises():
 
 
 # Literal pairs of the two regimes where L[a,b] and the endpoint chord nearly
-# coincide.  Without the LENS_MIN_CURVATURE refusal the inversion returned
+# coincide.  Without the INVERSION_MIN_CURVATURE refusal the inversion returned
 # the first pairs of each regime 2e-9 ... 2.2e-3 off; their geodesics have
 # |A|/|B| of 7e-13 ... 8e-8.  The last three have |A|/|B| of 3e-3 ... 7e-3.
 _INVERSION_PAIRS = {
@@ -390,6 +390,47 @@ def test_geodesic_intersection_lies_on_both_geodesics(params):
     assert abs(w) < 1
     for x, y in ((a, c), (b, d)):
         assert GenCircle.through(x, y, +1).residual(w) <= 1e-5
+
+
+def _w_error(w, a, b, c, d):
+    """|w - the smaller-modulus root of ((ac - bd) +- sqrt((a - b)(b - c)
+    (c - d)(d - a))) / (a - b + c - d)|, that root found to 60 digits from
+    the float inputs."""
+    with localcontext(prec=60):
+        a, b, c, d = map(_Dec, (a, b, c, d))
+        root = ((a - b) * (b - c) * (c - d) * (d - a)).sqrt()
+        P, den = a * c - b * d, a - b + c - d
+        exact = min((P + root) / den, (P - root) / den, key=abs)
+        return float(abs(_Dec(w) - exact))
+
+
+def test_geodesic_intersection_of_four_close_points_matches_a_60_digit_root():
+    # gaps of 1e-9 rad: the closed form's candidate filter refused this
+    # quadruple, though its geodesics cross ~8.7e-10 inside the circle
+    quad = [cmath.exp(1j * (1 + k * 1e-9)) for k in range(4)]
+    w = geodesic_intersection_on_circle(*quad)
+    assert 1 - abs(w) == pytest.approx(8.66e-10, rel=1e-3)
+    assert _w_error(w, *quad) <= 1e-15
+
+
+def test_geodesic_intersection_of_sampled_quadruples_matches_a_60_digit_root():
+    # the closed form that took both candidates and filtered them reached
+    # 2.8e-15 on these samples
+    spec = SampleSpec(500, seed=5)
+    quads = [sample_circle_quadruple(spec, i)[:4] for i in range(spec.count)]
+    assert max(_w_error(geodesic_intersection_on_circle(*q), *q) for q in quads) <= 1e-15
+
+
+@given(st.floats(0.0, 2 * math.pi, exclude_max=True),
+       st.tuples(*[st.floats(-12.0, math.log10(2.0))] * 3))
+def test_geodesic_intersection_of_tight_quadruples_lies_inside(t0, exponents):
+    gaps = [10.0 ** e for e in exponents]
+    assume(sum(gaps) < 2 * math.pi - 1e-12)
+    angles = [t0, t0 + gaps[0], t0 + gaps[0] + gaps[1], t0 + sum(gaps)]
+    quad = [cmath.exp(1j * t) for t in angles]
+    w = geodesic_intersection_on_circle(*quad)      # no GeometryError
+    assert abs(w) < 1
+    assert _w_error(w, *quad) <= 1e-15
 
 
 def test_chord_vs_geodesic_midpoint_identity():
