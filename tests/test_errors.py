@@ -36,6 +36,7 @@ from diskgeom.hyperbolic import (
 from diskgeom.spherical import gcis, orthogonal_great_circle
 from diskgeom.verify import VerificationReport, conjecture_check, midpoint_oracle
 
+
 def _inversion_centered_at(c):
     """midpoint_via_inversion on a regular pair whose inversion center,
     L[a,b] ^ the endpoint chord, is put at c."""
