@@ -17,7 +17,8 @@ degenerate point as its GeometryError instance, and returns the first such
 error, which h_family raises and family_report reports per point (it
 walks the points one by one only when there is such an error).  The
 great-circle and p/q kernels divide by sums of positive terms and return
-their points.  The synthetic paths use no closed form.
+their points.  The synthetic paths use no closed form (great-circle points
+are meets' in-disk roots; u_c, p_c, q_c the root on their chords' side).
 
 m is euclid's one midpoint formula, H_s / midpoint_denominator, at s = +1
 (the disk geodesic); s = -1 (the projected great circle) is chordal_midpoint.
@@ -200,9 +201,13 @@ def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
 
 def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
                         ) -> tuple[complex, complex, complex, complex, complex]:
-    """Points k_c, s_c, t_c, u_c, v_c via the quadratics or via GCIS."""
+    """Points k_c, s_c, t_c, u_c, v_c via the quadratics or via GCIS: the meet's
+    in-disk root, but u_c, on the circle with its antipode (R = 0), is the root
+    on the side of its chords' line crossing u, as pq_family picks p_c, q_c."""
     if path == "gcis":
-        return tuple([gcis(*chords) for chords in _chords(cfg)[:5]])
+        k, s, t, u, v = _chords(cfg)[:5]
+        return (gcis(*k), gcis(*s), gcis(*t),
+                _positive_multiple(gcis_roots(*u), line_intersection(*u)), gcis(*v))
     if path != "quadratic":
         raise ValueError(f"unknown path {path!r}")
     _, mab, m1, a2, b2, _, H = _moduli(cfg.a, cfg.b)

@@ -22,7 +22,7 @@ from .errors import (
     NoRealIntersection,
     require_in_disk,
 )
-from .euclid import INFINITY, GenCircle, line_intersection, meet, normal
+from .euclid import INFINITY, GenCircle, meet, normal
 from . import euclid
 
 
@@ -97,19 +97,12 @@ def gcis_roots(a: complex, b: complex, c: complex, d: complex
 
 def gcis(a: complex, b: complex, c: complex, d: complex) -> complex:
     """In-disk intersection of the projected great circles through (a,b), (c,d):
-    their meet z, |z| <= 1.  When its antipode lies on the unit circle too,
-    the root nearer the crossing of the chords L[a,b], L[c,d] (their mean
-    point if they are parallel) is returned."""
-    z, antipode = gcis_roots(a, b, c, d)
+    their meet z, |z| <= 1.  Of two roots on the unit circle it is the one
+    the meet rounds inside; a caller that needs one of them uses gcis_roots."""
+    z = gcis_roots(a, b, c, d)[0]
     if not abs(z) <= 1 + DISK_EDGE_TOL:      # meet gives |z| <= 1: a NaN root
         raise NoRealIntersection("no root in the closed unit disk")
-    if not abs(antipode) <= 1 + DISK_EDGE_TOL:
-        return z
-    try:                                     # a tie: both roots on the circle
-        ref = line_intersection(a, b, c, d)
-    except euclid.ParallelLines:
-        ref = (a + b + c + d) / 4
-    return antipode if abs(antipode - ref) < abs(z - ref) else z   # tie or NaN: z
+    return z
 
 
 def gencircle_from_pair_intersection(a: complex, b: complex, c: complex,

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from diskgeom.euclid import scale_of
+from diskgeom.euclid import line_intersection, scale_of
 from diskgeom.hyperbolic import hyperbolic_midpoint, midpoint_via_inversion
-from diskgeom.spherical import chordal_distance, gcis, \
+from diskgeom.spherical import chordal_distance, gcis, gcis_roots, \
     gencircle_from_pair_intersection, to_sphere
 from diskgeom.configurations import (
     build_config,
@@ -119,8 +119,13 @@ def test_criterion_06_dual_path_equivalence():
                  (cfg.a_end, cfg.b_star, cfg.b_end, cfg.a_star),
                  (a, cfg.b_star, b, cfg.a_star),
                  (a, cfg.a_end, b, cfg.b_end))
-        for z, args in zip(via_quad, pairs):
-            w = gencircle_from_pair_intersection(*args)
+        for i, (z, args) in enumerate(zip(via_quad, pairs)):
+            if i == 3:   # u_c and its antipode both lie on the unit circle:
+                # the root on the side of its chords' line crossing
+                u = line_intersection(*args).conjugate()
+                w = max(gcis_roots(*args), key=lambda r: (r * u).real)
+            else:
+                w = gencircle_from_pair_intersection(*args)
             oracle_worst = max(oracle_worst, abs(z - w) / scale_of(z, w))
     ok = worst <= 1e-9 and oracle_worst <= 1e-9
     _report("dual-path", ok,

@@ -186,6 +186,37 @@ def test_chordal_paths_agree_and_collinear(pts):
     assert collinearity_residual([0j, *via_quad]) <= 1e-8
 
 
+# Pairs on which the meet's in-disk root of u_c's chords (u_c lies on the unit
+# circle with its antipode) or of t_c's chords near the circle was the
+# antipode of the point, 2.0 away: two near collinear with 0, two with a ~ b,
+# and two with a near the circle
+_GCIS_ROOT_PAIRS = [
+    (0.10753558014662712 + 0.08453972319197586j, -0.3478308158130301 - 0.2734476024045454j),
+    (0.2174881404657019 + 0.14555853151643272j, -0.2733431346919387 - 0.18296549971086845j),
+    (-0.4088295442266471 - 0.29768108585579545j, -0.40885108925546215 - 0.2976798703834611j),
+    (-0.283387894360083 - 0.02009496922712539j, -0.2833865548408441 - 0.020097550943784855j),
+    (0.7600075524436202 + 0.6499142406719002j, -0.5130085209695004 - 0.47553870856558483j),
+    (-0.031249432647508336 + 0.9995116172207158j, 0.24409932724352523 + 0.3258911305986044j),
+]
+
+
+@pytest.mark.parametrize("a, b", _GCIS_ROOT_PAIRS)
+def test_gcis_path_takes_the_papers_root_of_u_c_and_t_c(a, b):
+    cfg = build_config(a, b)
+    for x, y in zip(five_points_chordal(cfg), five_points_chordal(cfg, "gcis")):
+        assert abs(x - y) <= 1e-9 * scale_of(x, y)
+
+
+def test_gcis_path_refuses_u_c_whose_chords_nearly_coincide():
+    # a and b are within 1.6e-11 of the circle, so a* and b* are as near a
+    # and b, and u's chords a-b* and b-a* nearly coincide: their crossing,
+    # which gives u_c's side, is refused rather than read from rounding
+    cfg = build_config(-0.40492570337635064 - 0.9143495910992993j,
+                       -0.4181064984800435 - 0.9083980162340727j)
+    with pytest.raises(ParallelLines):
+        five_points_chordal(cfg, "gcis")
+
+
 # ---------------------------------------------------------------------------
 # p/q family
 

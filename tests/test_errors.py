@@ -33,7 +33,7 @@ from diskgeom.hyperbolic import (
     midpoint_via_lens,
     mobius_T,
 )
-from diskgeom.spherical import gcis, orthogonal_great_circle
+from diskgeom.spherical import orthogonal_great_circle
 from diskgeom.verify import VerificationReport, conjecture_check, midpoint_oracle
 
 
@@ -124,12 +124,6 @@ BOUNDARIES = {
     "disk_edge_midpoint_via_lens_and_inversion": (
         _midpoints_refusing_a_meet_at, 0.9999999999989 + 0j, (None, None),
         0.9999999999991 + 0j, (NoRealIntersection, NoRealIntersection)),
-    # DISK_EDGE_TOL: the real axis and the great circle through r and 0.5i
-    # cross at r and -1/r; r = 1 + 0.9e-12 counts as in the closed disk and
-    # is nearer the chords' crossing, r = 1 + 1.1e-12 leaves only -1/r
-    "disk_edge_gcis": (
-        lambda r: gcis(0.5 + 0j, 0.3 + 0j, r, 0.5j).real > 0,
-        1.0000000000009 + 0j, True, 1.0000000000011 + 0j, False),
     # UNIT_CIRCLE_TOL = 1e-9: ||z| - 1| = 0.9e-9, 1.1e-9
     "unit_circle_check_cyclic_order": (
         lambda z: _refusal(check_cyclic_order, (z, 1j, -1 + 0j, -1j)),

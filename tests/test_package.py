@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import diskgeom
+from diskgeom import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "diskgeom").glob("*.py")
@@ -100,6 +101,17 @@ def _policy_breaches(path: Path) -> list[str]:
 def test_errors_py_alone_defines_tolerances_and_raises_outside_disk():
     paths = sorted((ROOT / "src" / "diskgeom").glob("*.py"))
     assert [site for p in paths if p.name != "errors.py" for site in _policy_breaches(p)] == []
+
+
+def test_readme_tolerance_table_gives_each_threshold_of_errors_py_its_value():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Tolerances and refusals\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, re.MULTILINE)
+    thresholds = {name: value for name, value in vars(errors).items()
+                  if isinstance(value, float)}
+    assert sorted(name for name, _ in rows) == sorted(thresholds)
+    assert [(name, float(value)) for name, value in rows] \
+        == [(name, thresholds[name]) for name, _ in rows]
 
 
 # Everything but a sample draw runs without numpy; the first draw loads it.

@@ -457,6 +457,16 @@ def test_run_all_keeps_the_requested_order_and_tolerance():
         run_all(20, 5, ids=["lens_lemma", "nope"])
 
 
+@pytest.mark.parametrize("xs, ys, value", [
+    ([0.5], [3.0], 2.5 / 3.0),          # |y| sets the scale
+    ([3.0], [0.5], 2.5 / 3.0),          # |x| sets the scale
+    ([0.25], [0.5j], abs(0.25 - 0.5j)),  # both inside the unit disk: scale 1
+    ([0.1, 2j], [0.3, 1.5j], 0.25),      # the worst of the pairs
+])
+def test_agreement_divides_by_the_largest_of_one_and_both_moduli(xs, ys, value):
+    assert verify._agreement(xs, ys) == value
+
+
 # ---------------------------------------------------------------------------
 # near-parallel pairs: k lies far out, as the two lines that define it are
 # nearly parallel (ROADMAP item 2)
