@@ -186,10 +186,11 @@ def test_chordal_paths_agree_and_collinear(pts):
     assert collinearity_residual([0j, *via_quad]) <= 1e-8
 
 
-# Pairs on which the meet's in-disk root of u_c's chords (u_c lies on the unit
-# circle with its antipode) or of t_c's chords near the circle was the
-# antipode of the point, 2.0 away: two near collinear with 0, two with a ~ b,
-# and two with a near the circle
+# Pairs on which a tie rule (the root nearer the chords' crossing, applied
+# only when both roots lie within DISK_EDGE_TOL of the circle) gave the
+# antipode, 2.0 away: of u_c, which lies on the circle with its antipode,
+# for two pairs near collinear with 0 and two with a ~ b, and of t_c for
+# two with a near the circle
 _GCIS_ROOT_PAIRS = [
     (0.10753558014662712 + 0.08453972319197586j, -0.3478308158130301 - 0.2734476024045454j),
     (0.2174881404657019 + 0.14555853151643272j, -0.2733431346919387 - 0.18296549971086845j),
