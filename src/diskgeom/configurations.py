@@ -2,9 +2,9 @@
 
 From two disk points a, b (nonzero, non-collinear with 0) we derive the
 unit-circle reflections a_star = 1/conj(a), b_star and the geodesic
-endpoints a_end, b_end.  Each entry point (build_config, family_report and
-h_family, so eleven_points) validates the pair once, by _check_pair;
-build_config and family_report then take the endpoints from
+endpoints a_end, b_end.  Each entry point (build_config, family_points, so
+family_report, and h_family, so eleven_points) validates the pair once, by
+_check_pair; build_config and family_points then take the endpoints from
 hyperbolic.geodesic_end, without geodesic_endpoints' second check.  The line
 family k, s, t, u, v, the great-circle family k_c ... v_c, and the p/q
 family each have two evaluation paths: synthetic intersections and closed
@@ -14,7 +14,7 @@ One straight-line kernel per family (_line_family, _chordal_family,
 _pq_family) holds the closed forms over what _moduli computes once per pair.
 Only the line family can refuse: it appends its points to one list, a
 degenerate point as its GeometryError instance, and returns the first such
-error, which h_family raises and family_report reports per point (it
+error, which h_family raises and family_points reports per point (it
 walks the points one by one only when there is such an error).  The
 great-circle and p/q kernels divide by sums of positive terms and return
 their points.  The synthetic paths use no closed form (great-circle points
@@ -274,14 +274,15 @@ def collinearity_residual(points: list[complex]) -> float:
     return worst
 
 
-def family_report(a: complex, b: complex
-                  ) -> tuple[dict[str, complex], dict[str, str], float]:
-    """Every named point computed independently, with per-point status.
+def family_points(a: complex, b: complex
+                  ) -> tuple[dict[str, complex], dict[str, str], list[complex]]:
+    """Every named point computed independently, with per-point status, and
+    no residual.
 
-    Returns (points, statuses, residual): statuses map each name to "ok" or
+    Returns (points, statuses, h_points): statuses map each name to "ok" or
     the degeneracy message of a line-family point, which points then lacks;
-    residual is the collinearity residual of the H-family points it computed
-    with the origin, taken over the distinct ones.  The pair is validated
+    h_points is the origin and the distinct H-family points it computed,
+    the list family_report takes its residual over.  The pair is validated
     once, by _check_pair, and the endpoints come from geodesic_end.
     """
     _check_pair(a, b)
@@ -304,7 +305,16 @@ def family_report(a: complex, b: complex
             else:
                 points[name] = value
         line = [z for z in line if not isinstance(z, GeometryError)]
-    return points, statuses, collinearity_residual([0j, *line, m, kc, sc, uc])
+    return points, statuses, [0j, *line, m, kc, sc, uc]
+
+
+def family_report(a: complex, b: complex
+                  ) -> tuple[dict[str, complex], dict[str, str], float]:
+    """family_points with its residual: returns (points, statuses, residual),
+    residual the collinearity residual of the H-family points it computed
+    with the origin, taken over the distinct ones."""
+    points, statuses, h_points = family_points(a, b)
+    return points, statuses, collinearity_residual(h_points)
 
 
 def h_family(a: complex, b: complex) -> tuple[list[complex], tuple]:

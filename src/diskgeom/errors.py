@@ -100,7 +100,7 @@ POLE_TOL = 1e-15            # |1 - conj(a) z| this small: z is the pole of T_a
 DISK_EDGE_TOL = 1e-12       # a root this close to the unit circle lies on it
 UNIT_CIRCLE_TOL = 1e-9      # points on the unit circle this close coincide
 ORACLE_MIN_GAP = 1e-6       # midpoint_oracle refuses 1 - |T_x(y)| below this
-INVERSION_MIN_GAP = 1e-6    # midpoint_via_inversion refuses ||a| - |b|| below this
+INVERSION_MIN_GAP = 1e-2    # midpoint_via_inversion refuses ||a| - |b|| below this
 LENS_MIN_CURVATURE = 2e-3   # midpoint_via_lens refuses a geodesic with |A| < this * |B|
 INVERSION_MIN_CURVATURE = 3e-3   # midpoint_via_inversion refuses |A| < this * |B|
 MEET_MIN_SINE = 1e-9        # euclid.meet refuses curves whose normals are closer (sine)

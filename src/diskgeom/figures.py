@@ -1,9 +1,10 @@
 """Figure reproduction: labeled point sets and SVG rendering.
 
 Each figure id maps to a fixed reference configuration and the named points
-drawn for it.  Output is either a JSON document with
-full-precision coordinates or a standalone SVG (1 unit = 100 px, unit
-circle centered).
+drawn for it.  build_figure computes a FigureData, numbers only, and two
+renderers format it: a JSON document with full-precision coordinates, or a
+standalone SVG (1 unit = 100 px, y up, in the box of the points and the unit
+circle padded by 0.3 units).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .euclid import GenCircle, format_complex, line_intersection
 from .hyperbolic import (
@@ -20,17 +22,18 @@ from .hyperbolic import (
     midpoint_via_inversion,
 )
 from .spherical import great_circle_projection
-from .configurations import build_config, family_report
+from .configurations import build_config, family_points
 
 FIGURE_IDS = (1, 2, 3, 5, 6)
 
 
 @dataclass
 class FigureData:
-    """Computed content of one figure."""
+    """Computed content of one figure: numbers only, which figure_json and
+    figure_svg format.  parameters are the inputs the figure was built from."""
 
     figure_id: int
-    parameters: dict[str, str]
+    parameters: dict[str, complex]
     points: dict[str, complex]
     segments: list[tuple[complex, complex]] = field(default_factory=list)
     circles: list[tuple[GenCircle, str]] = field(default_factory=list)   # (circle, style)
@@ -38,13 +41,12 @@ class FigureData:
 
 def _config_figure(fig_id: int, a: complex, b: complex,
                    names: tuple[str, ...]) -> FigureData:
-    points, statuses, _ = family_report(a, b)
+    points, statuses, _ = family_points(a, b)
     chosen = {"a": a, "b": b}
     for n in names:
         if statuses.get(n) == "ok":
             chosen[n] = points[n]
-    return FigureData(fig_id, {"a": format_complex(a), "b": format_complex(b)},
-                      chosen)
+    return FigureData(fig_id, {"a": a, "b": b}, chosen)
 
 
 def figure_1() -> FigureData:
@@ -97,7 +99,7 @@ def figure_5() -> FigureData:
     cfg = build_config(a, b)
     c = line_intersection(a, b, cfg.a_end, cfg.b_end)
     m = midpoint_via_inversion(a, b)
-    fig = FigureData(5, {"a": format_complex(a), "b": format_complex(b)},
+    fig = FigureData(5, {"a": a, "b": b},
                      {"a": a, "b": b, "a_end": cfg.a_end, "b_end": cfg.b_end,
                       "c": c, "m": m})
     fig.segments = [(c, a), (c, cfg.a_end)]
@@ -112,10 +114,8 @@ def figure_6() -> FigureData:
     h = b + 0.447 * (c - b)
     g, j, k, l = conjecture_points(a, b, c, d, h)
     f, m = chord_vs_geodesic_midpoint(a, b, c, d)
-    fig = FigureData(6, {name: format_complex(z) for name, z in
-                         zip("abcdh", (a, b, c, d, h))},
-                     {"a": a, "b": b, "c": c, "d": d, "h": h,
-                      "g": g, "j": j, "k": k, "l": l, "f": f, "m": m})
+    inputs = {"a": a, "b": b, "c": c, "d": d, "h": h}
+    fig = FigureData(6, inputs, {**inputs, "g": g, "j": j, "k": k, "l": l, "f": f, "m": m})
     fig.segments = [(g, a), (g, d), (g, l), (a, b), (a, c), (a, d),
                     (b, c), (b, d)]
     fig.circles = [(GenCircle.through(x, y, +1), "solid")
@@ -142,50 +142,56 @@ def build_figure(fig_id: int) -> FigureData:
 def figure_json(fig: FigureData) -> str:
     doc = {
         "figure": fig.figure_id,
-        "parameters": fig.parameters,
+        "parameters": {name: format_complex(z) for name, z in fig.parameters.items()},
         "points": {name: [z.real, z.imag] for name, z in fig.points.items()},
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 _SCALE = 100.0   # px per unit
+_PAD = 0.3       # units of margin around the points and the unit circle
+
+# figure_svg's fragments: each element is one fragment with %-fields, and a
+# document is their concatenation, filled by one % over a flat tuple
+_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" '
+         'viewBox="0 0 %.2f %.2f">\n'
+         '<g fill="none" stroke="black" stroke-width="1">\n'
+         f'<circle cx="%.2f" cy="%.2f" r="{_SCALE:.2f}" stroke-width="1.5"/>')
+_CIRCLE = {style: f'\n<circle cx="%.2f" cy="%.2f" r="%.2f"{dash}/>' for style, dash in
+           (("solid", ""), ("dashed", ' stroke-dasharray="6 4"'),
+            ("dotted", ' stroke-dasharray="2 3"'))}
+_LINE = '\n<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f"/>'
+_POINT = ('\n<circle cx="%.2f" cy="%.2f" r="2" fill="black"/>'
+          '\n<text x="%.2f" y="%.2f" font-size="11" fill="black">%s (%.4f, %.4f)</text>')
 
 
 def figure_svg(fig: FigureData) -> str:
-    """Standalone SVG: unit circle, figure curves, labeled points."""
-    xs = [z.real for z in fig.points.values()] + [-1.0, 1.0]
-    ys = [z.imag for z in fig.points.values()] + [-1.0, 1.0]
-    pad = 0.3
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
+    """Standalone SVG: unit circle, figure curves, segments, labeled points.
+
+    1 unit is _SCALE px, y up, and the box holds the points and the unit
+    circle with _PAD units to spare.  Each point is a dot and a label with
+    its coordinates to 4 decimals.  A curve of another style than solid,
+    dashed or dotted is drawn solid; a line in fig.circles raises
+    DegenerateInput.  The document is one template of the fragments above,
+    filled by one % over a flat tuple of the values.
+    """
+    xs = [z.real for z in fig.points.values()]
+    ys = [z.imag for z in fig.points.values()]
+    x0, x1 = min(*xs, -1.0, 1.0) - _PAD, max(*xs, -1.0, 1.0) + _PAD
+    y0, y1 = min(*ys, -1.0, 1.0) - _PAD, max(*ys, -1.0, 1.0) + _PAD
     width, height = (x1 - x0) * _SCALE, (y1 - y0) * _SCALE
-
-    def px(z: complex) -> tuple[float, float]:
-        return (z.real - x0) * _SCALE, (y1 - z.imag) * _SCALE
-
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-           f'width="{width:.0f}" height="{height:.0f}" '
-           f'viewBox="0 0 {width:.2f} {height:.2f}">',
-           '<g fill="none" stroke="black" stroke-width="1">']
-    cx, cy = px(0j)
-    out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{_SCALE:.2f}" '
-               'stroke-width="1.5"/>')
-    dash = {"solid": "", "dashed": ' stroke-dasharray="6 4"',
-            "dotted": ' stroke-dasharray="2 3"'}
+    template = [_HEAD]
+    values = [width, height, width, height, -x0 * _SCALE, y1 * _SCALE]   # px of 0
     for circle, style in fig.circles:
-        ccx, ccy = px(circle.center)
-        out.append(f'<circle cx="{ccx:.2f}" cy="{ccy:.2f}" '
-                   f'r="{circle.radius * _SCALE:.2f}"{dash.get(style, "")}/>')
+        c = circle.center
+        values += (c.real - x0) * _SCALE, (y1 - c.imag) * _SCALE, circle.radius * _SCALE
+        template.append(_CIRCLE.get(style, _CIRCLE["solid"]))
     for p, q in fig.segments:
-        (ax, ay), (bx, by) = px(p), px(q)
-        out.append(f'<line x1="{ax:.2f}" y1="{ay:.2f}" '
-                   f'x2="{bx:.2f}" y2="{by:.2f}"/>')
-    out.append("</g>")
-    for name, z in fig.points.items():
-        zx, zy = px(z)
-        out.append(f'<circle cx="{zx:.2f}" cy="{zy:.2f}" r="2" fill="black"/>')
-        out.append(f'<text x="{zx + 4:.2f}" y="{zy - 4:.2f}" '
-                   f'font-size="11" fill="black">'
-                   f'{name} ({z.real:.4f}, {z.imag:.4f})</text>')
-    out.append("</svg>")
-    return "\n".join(out)
+        values += ((p.real - x0) * _SCALE, (y1 - p.imag) * _SCALE,
+                   (q.real - x0) * _SCALE, (y1 - q.imag) * _SCALE)
+    template += _LINE * len(fig.segments), "\n</g>", _POINT * len(xs), "\n</svg>"
+    zx = [(x - x0) * _SCALE for x in xs]
+    zy = [(y1 - y) * _SCALE for y in ys]
+    values += chain.from_iterable(zip(zx, zy, [x + 4 for x in zx], [y - 4 for y in zy],
+                                      fig.points, xs, ys))
+    return "".join(template) % tuple(values)

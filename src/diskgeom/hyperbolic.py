@@ -149,12 +149,14 @@ def midpoint_via_inversion(a: complex, b: complex) -> complex:
 
     c is the intersection of L[a,b] with the line through the geodesic
     endpoints; the circle around c orthogonal to the unit circle cuts the
-    geodesic (A, B, A) through a, b at the midpoint.  The point is ~2e-17 /
-    ||a| - |b|| off as the two lines turn parallel, so a gap below
-    INVERSION_MIN_GAP raises EqualModuli.  It is also up to ~2e-14 |B|/|A|
-    off, relative, as the two lines coincide (a, b and 0 nearly collinear,
-    or |b| tiny), so |A| < INVERSION_MIN_CURVATURE |B| raises
-    CollinearPoints, as the lens does at its own cut.
+    geodesic (A, B, A) through a, b at the midpoint.  As the two lines turn
+    parallel the point is off, relative, by up to ~7e-15 / ||a| - |b|| when
+    |A| >= |B| / 10, and up to ~9e-14 / ||a| - |b|| for a geodesic near
+    INVERSION_MIN_CURVATURE (b -> a along a nearly radial line makes both
+    small), so a gap below INVERSION_MIN_GAP raises EqualModuli.  It is also
+    up to ~2e-14 |B|/|A| off, relative, as the two lines coincide (a, b and
+    0 nearly collinear, or |b| tiny), so |A| < INVERSION_MIN_CURVATURE |B|
+    raises CollinearPoints, as the lens does at its own cut.
     """
     if abs(abs(a) - abs(b)) < INVERSION_MIN_GAP:
         raise EqualModuli(f"||a| - |b|| is below {INVERSION_MIN_GAP:g}")

@@ -132,10 +132,10 @@ BOUNDARIES = {
     "oracle_min_gap_midpoint_oracle": (
         lambda y: _refusal(midpoint_oracle, 0j, y),
         0.9999989 + 0j, None, 0.9999991 + 0j, NearBoundary),
-    # INVERSION_MIN_GAP = 1e-6: ||a| - |b|| = 1.1e-6, 0.9e-6
+    # INVERSION_MIN_GAP = 1e-2: ||a| - |b|| = 1.1e-2, 0.9e-2
     "inversion_min_gap_midpoint_via_inversion": (
         lambda b: _refusal(midpoint_via_inversion, 0.5 + 0j, b),
-        0.4999989j, None, 0.4999991j, EqualModuli),
+        0.489j, None, 0.491j, EqualModuli),
     # LENS_MIN_CURVATURE = 2e-3: the geodesic through 0.5 and b has
     # |A| / |B| = 2.2e-3, 1.8e-3
     "lens_min_curvature_midpoint_via_lens": (

@@ -357,6 +357,32 @@ def test_midpoint_via_inversion_refuses_a_nearly_straight_geodesic(pairs):
     assert outcomes == ["refused"] * 3 + ["accepted"] * 3
 
 
+# Literal pairs with b near a along a nearly radial line, the worst of a
+# 60-digit sweep.  At a gap cut of 1e-6 the inversion returned the first three
+# 1.1e-8, 9.1e-11 and 9.9e-12 off (gaps 1.6e-6, 1.6e-4, 5.9e-3); the last two
+# have gaps 1.06e-2 and 1.58e-2 and geodesics with |A|/|B| of 0.12.
+_B_NEAR_A_PAIRS = [
+    (-0.328443120816341 - 0.5042178263812813j, -0.32844398811411 - 0.5042191529109686j),
+    (-0.328443120816341 - 0.5042178263812813j, -0.32835639103944225 - 0.5040851734125464j),
+    (-0.4244970896347341 + 0.6417713508400397j, -0.4277720771657865 + 0.6467108581007148j),
+    (-0.6679211196791504 + 0.6111383016942076j, -0.6600452398813603 + 0.6041112612561347j),
+    (-0.5940283656102795 - 0.7293871207876729j, -0.6039598070071748 - 0.7417384411596409j),
+]
+
+
+def test_midpoint_via_inversion_refuses_b_near_a_below_its_gap():
+    outcomes = []
+    for a, b in _B_NEAR_A_PAIRS:
+        try:
+            m = midpoint_via_inversion(a, b)
+        except EqualModuli:
+            outcomes.append("refused")
+            continue
+        assert _midpoint_error(m, a, b) <= 1e-12, (a, b)
+        outcomes.append("accepted")
+    assert outcomes == ["refused"] * 3 + ["accepted"] * 2
+
+
 # ---------------------------------------------------------------------------
 # geodesic intersections for cyclic quadruples
 
