@@ -6,7 +6,9 @@ Submodules: euclid (lines/circles/intersections), hyperbolic (disk metric,
 geodesics, midpoints), spherical (stereographic projection, great circles)
 and configurations (named point families) load with the package; figures
 (labeled figures), cli (command-line front end) and verify (randomized
-checks) load on first use, verify also on the first read of its names here.
+checks) load on first use, verify also on the first read of its names here;
+oracles (the independent constructions verify checks against) loads with
+verify.
 """
 
 from .errors import GeometryError

@@ -7,8 +7,9 @@ family_report, and h_family, so eleven_points) validates the pair once, by
 _check_pair; build_config and family_points then take the endpoints from
 hyperbolic.geodesic_end, without geodesic_endpoints' second check.  The line
 family k, s, t, u, v, the great-circle family k_c ... v_c, and the p/q
-family each have two evaluation paths: synthetic intersections and closed
-forms, which must agree.
+family are given here by their closed forms; oracles builds each point
+again where its two chords (lines or projected great circles) meet, and
+verify checks that the two agree.
 
 One straight-line kernel per family (_line_family, _chordal_family,
 _pq_family) holds the closed forms over what _moduli computes once per pair.
@@ -17,8 +18,7 @@ degenerate point as its GeometryError instance, and returns the first such
 error, which h_family raises and family_points reports per point (it
 walks the points one by one only when there is such an error).  The
 great-circle and p/q kernels divide by sums of positive terms and return
-their points.  The synthetic paths use no closed form (great-circle points
-are meets' in-disk roots; u_c, p_c, q_c the root on their chords' side).
+their points.
 
 m is euclid's one midpoint formula, H_s / midpoint_denominator, at s = +1
 (the disk geodesic); s = -1 (the projected great circle) is chordal_midpoint.
@@ -52,9 +52,9 @@ from .errors import (
     ZeroPoint,
     require_in_disk,
 )
-from .euclid import line_intersection, midpoint_denominator, midpoint_numerator
+from .euclid import midpoint_denominator, midpoint_numerator
 from .hyperbolic import geodesic_end
-from .spherical import gcis, gcis_roots, quadratic_root
+from .spherical import quadratic_root
 
 _FAR = 2.0 ** 510                  # collinearity_residual's NaN bound on |z|
 
@@ -153,12 +153,6 @@ def _chordal_family(mab, m1, a2, b2, H: complex) -> tuple[complex, complex, comp
             quadratic_root(H, H2, 0.0))
 
 
-def _positive_multiple(roots: tuple[complex, complex], direction: complex) -> complex:
-    """Root that is a positive real multiple of direction; the first on a tie."""
-    d = direction.conjugate()
-    return roots[1] if (roots[1] * d).real > (roots[0] * d).real else roots[0]
-
-
 def _pq_family(b, mab, m1, a2, b2, ab2, H: complex) -> list:
     """p, q, p_c, q_c, positive real multiples of N = mab H + m1 (1-|a|^2) b.
 
@@ -180,55 +174,23 @@ def _line_points(re, mab, m1, ab2, H: complex) -> list:
     return out
 
 
-def _chords(cfg: DiskConfig) -> tuple:
-    """(p1, p2, p3, p4) for k, s, t, u, v, p, q: where lines (or great circles)
-    p1p2 and p3p4 meet."""
-    a, b, ast, bst, ae, be = cfg.a, cfg.b, cfg.a_star, cfg.b_star, cfg.a_end, cfg.b_end
-    return ((ae, ast, be, bst), (a, be, b, ae), (ae, bst, be, ast), (a, bst, b, ast),
-            (a, ae, b, be), (a, be, ast, b), (a, bst, ast, be))
-
-
-def five_points_euclid(cfg: DiskConfig, path: str = "closed_form"
+def five_points_euclid(cfg: DiskConfig
                        ) -> tuple[complex, complex, complex, complex, complex]:
-    """Points k, s, t, u, v as line intersections or via their closed forms."""
-    if path == "synthetic":
-        return tuple([line_intersection(*chords) for chords in _chords(cfg)[:5]])
-    if path != "closed_form":
-        raise ValueError(f"unknown path {path!r}")
+    """Points k, s, t, u, v via their closed forms."""
     re, mab, m1, _, _, ab2, H = _moduli(cfg.a, cfg.b)
     return tuple(_line_points(re, mab, m1, ab2, H))
 
 
-def five_points_chordal(cfg: DiskConfig, path: str = "quadratic"
+def five_points_chordal(cfg: DiskConfig
                         ) -> tuple[complex, complex, complex, complex, complex]:
-    """Points k_c, s_c, t_c, u_c, v_c via the quadratics or via GCIS: the meet's
-    in-disk root, but u_c, on the circle with its antipode (R = 0), is the root
-    on the side of its chords' line crossing u, as pq_family picks p_c, q_c."""
-    if path == "gcis":
-        k, s, t, u, v = _chords(cfg)[:5]
-        return (gcis(*k), gcis(*s), gcis(*t),
-                _positive_multiple(gcis_roots(*u), line_intersection(*u)), gcis(*v))
-    if path != "quadratic":
-        raise ValueError(f"unknown path {path!r}")
+    """Points k_c, s_c, t_c, u_c, v_c via the great-circle quadratics."""
     _, mab, m1, a2, b2, _, H = _moduli(cfg.a, cfg.b)
     kc, sc, uc = _chordal_family(mab, m1, a2, b2, H)
     return kc, sc, -sc, uc, -kc
 
 
-def pq_family(cfg: DiskConfig, path: str = "closed_form"
-              ) -> tuple[complex, complex, complex, complex]:
-    """Points p, q, p_c, q_c; all positive real multiples of N.
-
-    The synthetic path, which uses no closed form, picks the GCIS root on p's
-    (q's) chords that is a positive multiple of the line intersection p (q).
-    """
-    if path == "synthetic":
-        p, q = _chords(cfg)[5:]
-        p_pt, q_pt = line_intersection(*p), line_intersection(*q)
-        return (p_pt, q_pt, _positive_multiple(gcis_roots(*p), p_pt),
-                _positive_multiple(gcis_roots(*q), q_pt))
-    if path != "closed_form":
-        raise ValueError(f"unknown path {path!r}")
+def pq_family(cfg: DiskConfig) -> tuple[complex, complex, complex, complex]:
+    """Points p, q, p_c, q_c; all positive real multiples of N."""
     _, mab, m1, a2, b2, ab2, H = _moduli(cfg.a, cfg.b)
     return tuple(_pq_family(cfg.b, mab, m1, a2, b2, ab2, H))
 

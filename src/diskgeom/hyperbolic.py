@@ -75,9 +75,11 @@ def geodesic_endpoints(a: complex, b: complex) -> tuple[complex, complex]:
 def hyperbolic_line(a: complex, b: complex) -> GenCircle:
     """Geodesic through two distinct points of the open disk: the curve
     through a, b and 1/conj(a), orthogonal to the unit circle, a diameter
-    when a, b, 0 are collinear."""
+    when a, b, 0 are collinear.  It is drawn through its endpoints, which
+    keep their digits as b nears a; the curve through a, b themselves has
+    its center 1e-9 off, relative, at |a - b| = 1e-7."""
     require_in_disk(a, b)
-    return GenCircle.through(a, b, +1)
+    return GenCircle.through(*geodesic_endpoints(a, b), +1)
 
 
 def hyperbolic_midpoint(x: complex, y: complex) -> complex:

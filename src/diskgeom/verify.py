@@ -1,4 +1,5 @@
-"""Randomized, seedable verification harness with independent oracles.
+"""Randomized, seedable verification harness; the independent constructions
+it checks the closed forms against live in ``oracles``.
 
 Each check draws samples from a named sampler.  Sample ``index`` of a run
 with ``seed`` reads the counter-based Philox stream (Salmon et al.,
@@ -40,15 +41,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
-from .errors import (
-    ORACLE_MIN_GAP,
-    GeometryError,
-    NearBoundary,
-    PointOutsideDisk,
-    SamplerStarvation,
-    UnknownTheorem,
-    require_in_disk,
-)
+from .errors import GeometryError, PointOutsideDisk, SamplerStarvation, UnknownTheorem
 from .euclid import GenCircle, line_intersection, orthocenter, scale_of
 from .hyperbolic import (
     chord_vs_geodesic_midpoint,
@@ -57,7 +50,6 @@ from .hyperbolic import (
     hyperbolic_midpoint,
     midpoint_via_inversion,
     midpoint_via_lens,
-    mobius_T,
     rho,
 )
 from .spherical import (
@@ -75,6 +67,7 @@ from .configurations import (
     h_family,
     pq_family,
 )
+from .oracles import chordal_points, line_points, midpoint_oracle, pq_points
 
 
 @dataclass(frozen=True)
@@ -316,39 +309,6 @@ def _draw_chunk(spec: SampleSpec, sampler: str, begin: int, end: int) -> list[tu
     return samples
 
 
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def midpoint_oracle(x: complex, y: complex) -> complex:
-    """Hyperbolic midpoint by bisection along the T_x-straightened geodesic:
-    the point w = mid * u of [0, yp] with rho(0, w) = rho(w, yp).
-    Both distances are written out.  rho(0, w) is exactly 2 atanh(|w|), since
-    0 - w is -w and |1 - 0 conj(w)| is 1.0; halving both sides of
-    rho(0, w) < rho(w, yp) is exact, so the test compares the two atanh.
-    Stopping once mid is lo or hi keeps the 100-step result: each later step
-    keeps (lo, hi) or moves the other end onto mid, so 0.5 * (lo + hi) stays mid.
-    A yp with 1 - |yp| < ORACLE_MIN_GAP raises NearBoundary, so each |w| < 1."""
-    if x == y:
-        return x
-    require_in_disk(yp := mobius_T(x, y))
-    ayp, ypc = abs(yp), yp.conjugate()
-    if 1 - ayp < ORACLE_MIN_GAP:
-        raise NearBoundary(f"1 - |T_x(y)| = {1 - ayp:.3g} is below {ORACLE_MIN_GAP:g}")
-    u = yp / ayp
-    lo, hi = 0.0, ayp
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        w = mid * u
-        if math.atanh(abs(w)) < math.atanh(abs(w - yp) / abs(1 - w * ypc)):
-            lo = mid
-        else:
-            hi = mid
-    return mobius_T(-x, 0.5 * (lo + hi) * u)
-
-
 def conjecture_check(a: complex, b: complex, c: complex, d: complex,
                      h: complex) -> float:
     """Residual |rho(h,j) - rho(k,l)| for the four-chord configuration.
@@ -363,16 +323,6 @@ def conjecture_check(a: complex, b: complex, c: complex, d: complex,
     return abs(rho(h, j) - rho(k, l))
 
 
-def mobius_invariance_check(a: complex, b: complex, c: complex, d: complex,
-                            h: complex) -> tuple[float, float]:
-    """Moduli-difference residuals (| |T_w(h)|-|T_w(l)| |, | |T_w(j)|-|T_w(k)| |)
-    for a conjecture configuration, at the lemma's point w = 1/conj(g)."""
-    g, j, k, l = conjecture_points(a, b, c, d, h)
-    w = 1 / g.conjugate()
-    return (abs(abs(mobius_T(w, h)) - abs(mobius_T(w, l))),
-            abs(abs(mobius_T(w, j)) - abs(mobius_T(w, k))))
-
-
 # ---------------------------------------------------------------------------
 # per-theorem residuals
 
@@ -380,27 +330,27 @@ def mobius_invariance_check(a: complex, b: complex, c: complex, d: complex,
 def _residual_five_points_collinear(sample: Sequence[complex]) -> float:
     a, b = sample
     cfg = build_config(a, b)
-    k, s, t, u, v = five_points_euclid(cfg, path="synthetic")
+    k, s, t, u, v = line_points(cfg)
     return collinearity_residual([0j, k, s, t, u, v, hyperbolic_midpoint(a, b)])
 
 
 def _agreement(xs: Sequence[complex], ys: Sequence[complex]) -> float:
-    """How far two paths to the same points disagree: max |x - y| / max(1, |x|, |y|)."""
+    """How far two constructions of the same points disagree:
+    max |x - y| / max(1, |x|, |y|)."""
     return max(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(xs, ys))
 
 
 def _residual_explicit_formulas(sample: Sequence[complex]) -> float:
     a, b = sample
     cfg = build_config(a, b)
-    return _agreement(five_points_euclid(cfg, path="synthetic"),
-                      five_points_euclid(cfg, path="closed_form"))
+    return _agreement(line_points(cfg), five_points_euclid(cfg))
 
 
 def _residual_five_points_chordal(sample: Sequence[complex]) -> float:
     a, b = sample
     cfg = build_config(a, b)
-    via_gcis = five_points_chordal(cfg, path="gcis")
-    via_quad = kc, sc, _, uc, _ = five_points_chordal(cfg, path="quadratic")
+    via_gcis = chordal_points(cfg)
+    via_quad = kc, sc, _, uc, _ = five_points_chordal(cfg)
     # t_c = -s_c and v_c = -k_c add no bit to the residual about 0
     return max(_agreement(via_gcis, via_quad),
                collinearity_residual([0j, kc, sc, uc]))
@@ -419,8 +369,8 @@ def _residual_eleven_points(sample: Sequence[complex]) -> float:
 def _residual_pq_collinear(sample: Sequence[complex]) -> float:
     a, b = sample
     cfg = build_config(a, b)
-    closed = pq_family(cfg, path="closed_form")
-    syn = pq_family(cfg, path="synthetic")
+    closed = pq_family(cfg)
+    syn = pq_points(cfg)
     return max(_agreement(closed, syn), collinearity_residual([0j, *closed]))
 
 

@@ -13,8 +13,7 @@ import pytest
 
 from diskgeom.euclid import line_intersection, scale_of
 from diskgeom.hyperbolic import hyperbolic_midpoint, midpoint_via_inversion
-from diskgeom.spherical import chordal_distance, gcis, gcis_roots, \
-    gencircle_from_pair_intersection, to_sphere
+from diskgeom.spherical import chordal_distance, gcis, gcis_roots, to_sphere
 from diskgeom.configurations import (
     build_config,
     collinearity_residual,
@@ -113,7 +112,7 @@ def test_criterion_06_dual_path_equivalence():
     for i in range(2_000):
         a, b = sample_disk_pair(spec, i)
         cfg = build_config(a, b)
-        via_quad = five_points_chordal(cfg, path="quadratic")
+        via_quad = five_points_chordal(cfg)
         pairs = ((cfg.a_end, cfg.a_star, cfg.b_end, cfg.b_star),
                  (a, cfg.b_end, b, cfg.a_end),
                  (cfg.a_end, cfg.b_star, cfg.b_end, cfg.a_star),
@@ -125,7 +124,7 @@ def test_criterion_06_dual_path_equivalence():
                 u = line_intersection(*args).conjugate()
                 w = max(gcis_roots(*args), key=lambda r: (r * u).real)
             else:
-                w = gencircle_from_pair_intersection(*args)
+                w = gcis(*args)
             oracle_worst = max(oracle_worst, abs(z - w) / scale_of(z, w))
     ok = worst <= 1e-9 and oracle_worst <= 1e-9
     _report("dual-path", ok,

@@ -36,6 +36,7 @@ from diskgeom.configurations import (
     pq_family,
 )
 from diskgeom.hyperbolic import geodesic_endpoints, hyperbolic_midpoint
+from diskgeom.oracles import chordal_points, line_points, pq_points
 from diskgeom.verify import _residual_eleven_points, default_spec, sample_disk_pair
 
 from conftest import _Dec, endpoint_error, polar_points, well_separated
@@ -138,8 +139,8 @@ def test_line_family_paths_agree_and_collinear(pts):
     a, b = pts
     assume(well_separated(a, b))
     cfg = build_config(a, b)
-    closed = five_points_euclid(cfg, path="closed_form")
-    syn = five_points_euclid(cfg, path="synthetic")
+    closed = five_points_euclid(cfg)
+    syn = line_points(cfg)
     for x, y in zip(closed, syn):
         assert abs(x - y) <= 1e-8 * scale_of(x, y)
     m = hyperbolic_midpoint(a, b)
@@ -179,8 +180,8 @@ def test_chordal_paths_agree_and_collinear(pts):
     a, b = pts
     assume(well_separated(a, b))
     cfg = build_config(a, b)
-    via_quad = five_points_chordal(cfg, path="quadratic")
-    via_gcis = five_points_chordal(cfg, path="gcis")
+    via_quad = five_points_chordal(cfg)
+    via_gcis = chordal_points(cfg)
     for x, y in zip(via_quad, via_gcis):
         assert abs(x - y) <= 1e-8 * scale_of(x, y)
     assert collinearity_residual([0j, *via_quad]) <= 1e-8
@@ -204,7 +205,7 @@ _GCIS_ROOT_PAIRS = [
 @pytest.mark.parametrize("a, b", _GCIS_ROOT_PAIRS)
 def test_gcis_path_takes_the_papers_root_of_u_c_and_t_c(a, b):
     cfg = build_config(a, b)
-    for x, y in zip(five_points_chordal(cfg), five_points_chordal(cfg, "gcis")):
+    for x, y in zip(five_points_chordal(cfg), chordal_points(cfg)):
         assert abs(x - y) <= 1e-9 * scale_of(x, y)
 
 
@@ -215,7 +216,7 @@ def test_gcis_path_refuses_u_c_whose_chords_nearly_coincide():
     cfg = build_config(-0.40492570337635064 - 0.9143495910992993j,
                        -0.4181064984800435 - 0.9083980162340727j)
     with pytest.raises(ParallelLines):
-        five_points_chordal(cfg, "gcis")
+        chordal_points(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +239,8 @@ def test_pq_paths_agree_and_collinear_with_origin(pts):
     a, b = pts
     assume(well_separated(a, b))
     cfg = build_config(a, b)
-    closed = pq_family(cfg, path="closed_form")
-    syn = pq_family(cfg, path="synthetic")
+    closed = pq_family(cfg)
+    syn = pq_points(cfg)
     for x, y in zip(closed, syn):
         assert abs(x - y) <= 1e-8 * scale_of(x, y)
     assert collinearity_residual([0j, *closed]) <= 1e-8
@@ -254,7 +255,7 @@ def test_pq_chordal_pair_has_no_cutoff_of_its_own_near_the_boundary():
     points, statuses, _ = family_report(a, b)
     assert all(statuses[n] == "ok" for n in ("p", "q", "p_c", "q_c"))
     assert pq_family(cfg) == tuple(points[n] for n in ("p", "q", "p_c", "q_c"))
-    for name, z in zip(("p", "q", "p_c", "q_c"), pq_family(cfg, path="synthetic")):
+    for name, z in zip(("p", "q", "p_c", "q_c"), pq_points(cfg)):
         assert abs(points[name] - z) <= 1e-14 * scale_of(z), name
 
 
@@ -901,7 +902,7 @@ def test_pq_synthetic_path_picks_roots_as_the_conj_q_pick_did():
             cfg = build_config(a, b)
         except GeometryError:
             continue
-        outcome = _outcome(lambda: pq_family(cfg, "synthetic"))
+        outcome = _outcome(lambda: pq_points(cfg))
         kinds.add(outcome[1] if outcome[0] == "error" else "value")
         if repr(outcome) != repr(_outcome(lambda: _old_pq_synthetic(cfg))):
             # The picks differ only with |a| and |b| both near 1.  There
@@ -924,7 +925,7 @@ def test_synthetic_p_holds_where_its_chords_nearly_coincide():
     # a-b_end and a*-b are 2.6e-11 rad apart; p leans on b_end's accuracy
     cfg = build_config(-0.6731341964429591 + 0.7395203486571915j,
                        0.040708672749744386 + 0.999171058376303j)
-    assert abs(pq_family(cfg, "synthetic")[0] - pq_family(cfg)[0]) <= 1e-6
+    assert abs(pq_points(cfg)[0] - pq_family(cfg)[0]) <= 1e-6
 
 
 # each map of the inputs, and how many PointFamily points follow it exactly:

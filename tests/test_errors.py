@@ -15,6 +15,7 @@ from diskgeom.errors import (
     CollinearPoints,
     CollinearWithOrigin,
     ConcentricCircles,
+    DegenerateInput,
     EqualModuli,
     GeometryError,
     InvalidCyclicOrder,
@@ -24,8 +25,10 @@ from diskgeom.errors import (
     OriginIntersection,
     PointOutsideDisk,
     PoleHit,
+    SamplerStarvation,
 )
-from diskgeom.euclid import meet
+from diskgeom.euclid import GenCircle, meet, orthocenter
+from diskgeom.figures import build_figure
 from diskgeom.hyperbolic import (
     check_cyclic_order,
     chord_vs_geodesic_midpoint,
@@ -34,7 +37,8 @@ from diskgeom.hyperbolic import (
     mobius_T,
 )
 from diskgeom.spherical import orthogonal_great_circle
-from diskgeom.verify import VerificationReport, conjecture_check, midpoint_oracle
+from diskgeom.oracles import midpoint_oracle
+from diskgeom.verify import SampleSpec, VerificationReport, conjecture_check, sample_disk_pair
 
 
 def _inversion_centered_at(c):
@@ -58,6 +62,17 @@ CASES = [
     (NoRealIntersection, lambda: meet((-2 + 0j, 1.0), (2 + 0j, 1.0), +1)),
     # an inversion center inside the unit circle spans no orthogonal circle
     (NoInDiskRoot, lambda: _inversion_centered_at(0.5j)),
+    # the three vertices lie on the real axis
+    (CollinearPoints, lambda: orthocenter(0j, 1 + 0j, 2 + 0j)),
+    # no two radii in [0.05, 0.95] are 1.0 apart, so every attempt is rejected
+    (SamplerStarvation,
+     lambda: sample_disk_pair(SampleSpec(1, 0, moduli_margin=1.0), 0)),
+    # a line through one point, a circle of radius 0
+    (DegenerateInput, lambda: GenCircle.line(0.5j, 0.5j)),
+    (DegenerateInput, lambda: GenCircle.circle(0.5j, 0.0)),
+    # 4 is no figure id, and a spec must ask for a sample
+    (ValueError, lambda: build_figure(4)),
+    (ValueError, lambda: SampleSpec(0, 0)),
 ]
 
 

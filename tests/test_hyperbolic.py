@@ -32,7 +32,8 @@ from diskgeom.hyperbolic import (
     rho,
 )
 from diskgeom.spherical import chordal_midpoint
-from diskgeom.verify import SampleSpec, midpoint_oracle, sample_circle_quadruple
+from diskgeom.oracles import midpoint_oracle
+from diskgeom.verify import SampleSpec, sample_circle_quadruple
 
 from conftest import _Dec, endpoint_error, polar_points, unit_circle_points, well_separated
 
@@ -180,6 +181,22 @@ def test_hyperbolic_line_refuses_points_outside_the_disk_first(a, b):
 def test_hyperbolic_line_in_disk_refusal_is_unchanged():
     with pytest.raises(CoincidentPoints):
         hyperbolic_line(0.3 + 0.1j, 0.3 + 0.1j)
+
+
+@pytest.mark.parametrize("delta", [1e-7, 1e-10])
+@pytest.mark.parametrize("turn", [1.0, 2.0])
+def test_hyperbolic_line_keeps_its_center_as_b_nears_a(delta, turn):
+    # GenCircle.through(a, b, +1) has its center 1.0e-9 and 7.7e-11 off, relative,
+    # at turns 1 and 2 and delta = 1e-7, and 3.4e-7 and 5.3e-7 at delta = 1e-10
+    a = 0.3 + 0.2j
+    b = a + delta * cmath.exp(1j * turn)
+    with localcontext(prec=60):
+        x, y = _Dec(a), _Dec(b)
+        # the orthogonal circle through x, y: 2 Re(conj(c) z) = 1 + |z|^2 for z = x, y
+        A = 2 * (y * x.conjugate()).imag
+        center = (y * (1 + abs(x) ** 2) - x * (1 + abs(y) ** 2)) * _Dec(0, 1) / -A
+        error = abs(center - hyperbolic_line(a, b).center) / abs(center)
+    assert error <= 1e-14
 
 
 @given(st.tuples(polar_points(), polar_points()))

@@ -114,6 +114,37 @@ def test_readme_tolerance_table_gives_each_threshold_of_errors_py_its_value():
         == [(name, thresholds[name]) for name, _ in rows]
 
 
+# What the independent constructions must not read: the closed-form kernels,
+# and every function built on them.
+_CLOSED_FORMS = {"_moduli", "_line_family", "_chordal_family", "_pq_family",
+                 "_line_points", "h_family", "h_vector", "eleven_points",
+                 "family_points", "family_report", "five_points_euclid",
+                 "five_points_chordal", "pq_family", "quadratic_root",
+                 "midpoint_numerator", "midpoint_denominator", "hyperbolic_midpoint"}
+
+
+def _closed_form_reads(path: Path) -> list[str]:
+    """Names a module imports from configurations other than DiskConfig, and
+    the closed forms it imports or reads as an attribute of any module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                name = alias.name.rsplit(".", 1)[-1]
+                if name in _CLOSED_FORMS or name == "configurations" or (
+                        module.endswith("configurations") and name != "DiskConfig"):
+                    found.append(f"{module}.{alias.name}")
+        elif isinstance(node, ast.Attribute) and node.attr in _CLOSED_FORMS:
+            found.append(f"attribute {node.attr}")
+    return found
+
+
+def test_oracles_read_no_closed_form():
+    assert _closed_form_reads(ROOT / "src" / "diskgeom" / "oracles.py") == []
+
+
 # Everything but a sample draw runs without numpy; the first draw loads it.
 _NUMPY_ON_FIRST_DRAW = """
 import contextlib, io, sys
@@ -157,13 +188,14 @@ import diskgeom, diskgeom.cli
 from diskgeom.configurations import eleven_points, family_report
 eleven_points(0.5, 0.7j)
 family_report(0.5, 0.7j)
-heavy = {"diskgeom.verify", "diskgeom.figures", "dataclasses", "json", "argparse",
-         "numpy"}
+heavy = {"diskgeom.verify", "diskgeom.oracles", "diskgeom.figures", "dataclasses",
+         "json", "argparse", "numpy"}
 assert not heavy & (set(sys.modules) - before), sorted(heavy & set(sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
     assert diskgeom.cli.main(["points", "--a", "0.5", "--b", "0.7@1"]) == 0
     assert diskgeom.cli.main(["figure", "--id", "6", "--format", "svg"]) == 0
-assert "diskgeom.verify" not in sys.modules, "points or figure loaded verify"
+assert not {"diskgeom.verify", "diskgeom.oracles"} & set(sys.modules), \
+    "points or figure loaded the harness"
 assert diskgeom.run_check is sys.modules["diskgeom.verify"].run_check
 assert [name for name in diskgeom.__all__ if not hasattr(diskgeom, name)] == []
 """

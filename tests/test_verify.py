@@ -30,8 +30,6 @@ from diskgeom.verify import (
     _rng,
     conjecture_check,
     default_spec,
-    midpoint_oracle,
-    mobius_invariance_check,
     run_all,
     run_check,
     sample_circle_quadruple,
@@ -39,6 +37,7 @@ from diskgeom.verify import (
     sample_lens_pair,
 )
 from diskgeom.hyperbolic import hyperbolic_midpoint, mobius_T, rho
+from diskgeom.oracles import midpoint_oracle, mobius_invariance_check
 
 
 def _spec(count=50, seed=7, **kw):
