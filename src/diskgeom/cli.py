@@ -102,7 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         import json
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([report.to_dict() for report in reports], fh, indent=2)
+            fh.write(json.dumps([report.to_dict() for report in reports], indent=2))
     return 0 if all(report.passed for report in reports) else 1
 
 
@@ -123,13 +123,14 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         }
     flagged = report.max_residual > COUNTEREXAMPLE_RESIDUAL
     doc["possible_counterexample"] = flagged
-    print(json.dumps(doc, indent=2))
+    text = json.dumps(doc, indent=2)
+    print(text)
     if flagged:
         print(f"NOTE: max residual {report.max_residual:.3e} is large; "
               "inspect worst_input", file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(text)
     return 0
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import GeometryError, PointOutsideDisk, SamplerStarvation, UnknownTheorem
@@ -108,7 +108,9 @@ class VerificationReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields in order, as dataclasses.asdict gives them, without its
+        deep copy: every field but worst_input is immutable."""
+        return {**vars(self), "worst_input": [list(z) for z in self.worst_input]}
 
 
 _M64 = (1 << 64) - 1

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import math
 
@@ -176,6 +177,21 @@ def test_verify_all_prints_and_writes_every_check_in_registry_order(tmp_path, ca
     for report, line, want in zip(reports, lines, expected):
         assert report | {"wall_time_s": 0} == want.to_dict() | {"wall_time_s": 0}
         assert line.endswith(f"({want.evaluated}/12 samples)")
+
+
+def test_report_files_are_the_asdict_json_byte_for_byte(tmp_path, monkeypatch, capsys):
+    from diskgeom import verify
+    seen = []
+    run = verify.run_all
+    monkeypatch.setattr(verify, "run_all", lambda *a: seen.extend(run(*a)) or seen)
+    out = tmp_path / "all.json"
+    main(["verify", "--theorem", "all", "--samples", "12", "--seed", "8",
+          "--out", str(out)])
+    assert out.read_text() == json.dumps([dataclasses.asdict(r) for r in seen], indent=2)
+    capsys.readouterr()
+    out = tmp_path / "conjecture.json"
+    main(["conjecture", "--samples", "1", "--seed", "2", "--out", str(out)])
+    assert out.read_text() + "\n" == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

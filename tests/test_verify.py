@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from diskgeom.errors import (
+    ORACLE_MIN_GAP,
     DegenerateDenominator,
     GeometryError,
     NearBoundary,
@@ -37,7 +38,7 @@ from diskgeom.verify import (
     sample_lens_pair,
 )
 from diskgeom.hyperbolic import hyperbolic_midpoint, mobius_T, rho
-from diskgeom.oracles import midpoint_oracle, mobius_invariance_check
+from diskgeom.oracles import _bisect_crossing, midpoint_oracle, mobius_invariance_check
 
 
 def _spec(count=50, seed=7, **kw):
@@ -551,6 +552,57 @@ def test_midpoint_oracle_early_exit_keeps_the_hundred_step_result():
         assert midpoint_oracle(x, x) == x == _hundred_step_midpoint_oracle(x, x)
 
 
+def _outcome(oracle, x, y):
+    try:
+        return oracle(x, y)
+    except Exception as exc:   # the exception type is the outcome
+        return type(exc)
+
+
+def _hard_midpoint_pairs(count):
+    """count pairs of each regime: 1 - |T_x(y)| log-uniform in [1e-6, 0.5],
+    |x - y| down to 1e-15, |x| down to 1e-300, and 1 - |T_x(y)| in
+    [1e-9, 1e-6), which ORACLE_MIN_GAP refuses."""
+    rng = np.random.default_rng(32)
+    turn = np.exp(2j * np.pi * rng.random((4, count)))
+    x = 0.95 * np.sqrt(rng.random((3, count))) * turn[:3]
+    gap = 10.0 ** np.concatenate([rng.uniform(-6, math.log10(0.5), count),
+                                  rng.uniform(-9, -6, count)])
+    ends = (1 - gap) * np.exp(2j * np.pi * rng.random(2 * count))
+    pairs = [(complex(a), mobius_T(-complex(a), complex(e)))
+             for a, e in zip(np.concatenate([x[0], x[0]]), ends)]
+    pairs += [(complex(a), complex(a + d * z)) for a, d, z in
+              zip(x[1], 10.0 ** rng.uniform(-15, -1, count), turn[3])]
+    pairs += [(complex(d * z), complex(b)) for d, z, b in
+              zip(10.0 ** rng.uniform(-300, -1, count), turn[2], x[2])]
+    return pairs
+
+
+def test_midpoint_oracle_keeps_the_hundred_step_result_in_hard_regimes():
+    refused = 0
+    for x, y in _hard_midpoint_pairs(2500):
+        want = _outcome(_hundred_step_midpoint_oracle, x, y)
+        if want is not OutsideDisk and 1 - abs(mobius_T(x, y)) < ORACLE_MIN_GAP:
+            want, refused = NearBoundary, refused + 1
+        assert _outcome(midpoint_oracle, x, y) == want, (x, y)
+    assert refused > 2000      # the refusing regime, give or take rounding at 1e-6
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3, 1 - 1e-9, 1 + 1e-9, math.nan])
+def test_a_wrong_crossing_estimate_cannot_steer_the_midpoint_oracle(scale):
+    spec = default_spec("midpoint_oracle", 100, 29)
+    pairs = [sample_disk_pair(spec, i) for i in range(spec.count)]
+    for x, y in pairs + _hard_midpoint_pairs(20):
+        yp = mobius_T(x, y)
+        ayp = abs(yp)
+        if 1 - ayp < ORACLE_MIN_GAP:
+            continue
+        u = yp / ayp
+        t = ayp / (1 + math.sqrt((1 - ayp) * (1 + ayp)))
+        assert mobius_T(-x, _bisect_crossing(yp, u, t * scale) * u) \
+            == _hundred_step_midpoint_oracle(x, y), (x, y)
+
+
 def test_conjecture_check_generic_quadruple_is_tiny():
     import cmath
     a, b, c, d = (cmath.exp(1j * t) for t in (0.0, 1.2, 2.8, 4.4))
@@ -602,6 +654,16 @@ def test_run_check_report_fields():
     assert report.max_residual <= report.tolerance
     assert report.mean_residual <= report.max_residual
     assert len(report.worst_input) == 2
+
+
+def test_report_dict_is_asdict_and_owns_its_worst_input():
+    report = run_check("lens_lemma", default_spec("lens_lemma", 30, 5))
+    kept = dataclasses.asdict(report)
+    doc = report.to_dict()
+    assert list(doc.items()) == list(kept.items())
+    doc["worst_input"][0][0] = 7.0
+    doc["worst_input"].append([0.0, 0.0])
+    assert dataclasses.asdict(report) == kept
 
 
 def test_tolerance_override_can_fail_a_check():
