@@ -73,6 +73,14 @@ class DiskConfig(NamedTuple):
     a_end: complex
     b_end: complex
 
+    def chords(self) -> tuple:
+        """(p1, p2, p3, p4) for k, s, t, u, v, p, q: the lines p1p2 and p3p4
+        meet at k ... v, p and q, and the projected great circles through
+        p1, p2 and through p3, p4 meet at k_c ... v_c, p_c and q_c."""
+        a, b, ast, bst, ae, be = self
+        return ((ae, ast, be, bst), (a, be, b, ae), (ae, bst, be, ast), (a, bst, b, ast),
+                (a, ae, b, be), (a, be, ast, b), (a, bst, ast, be))
+
 
 class PointFamily(NamedTuple):
     """All named intersection points of a configuration."""

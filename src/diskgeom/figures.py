@@ -22,7 +22,7 @@ from .hyperbolic import (
     midpoint_via_inversion,
 )
 from .spherical import great_circle_projection
-from .configurations import build_config, family_points
+from .configurations import DiskConfig, build_config, family_points
 
 FIGURE_IDS = (1, 2, 3, 5, 6)
 
@@ -69,13 +69,7 @@ def figure_2() -> FigureData:
     a, b = 0.5 + 0j, 0.6 * cmath.exp(1j)
     fig = _config_figure(2, a, b, ("k_c", "s_c", "t_c", "u_c", "v_c",
                                    "a_star", "b_star", "a_end", "b_end"))
-    p = fig.points
-    pairs = [(p["a_end"], p["a_star"]), (p["b_end"], p["b_star"]),
-             (p["a"], p["b_end"]), (p["b"], p["a_end"]),
-             (p["a_end"], p["b_star"]), (p["b_end"], p["a_star"]),
-             (p["a"], p["b_star"]), (p["b"], p["a_star"]),
-             (p["a"], p["a_end"]), (p["b"], p["b_end"])]
-    fig.circles = _great_circles(pairs)
+    fig.circles = _great_circles(_chord_pairs(fig.points)[:10])
     return fig
 
 
@@ -83,11 +77,7 @@ def figure_3() -> FigureData:
     a, b = 0.5 + 0j, 0.6 * cmath.exp(1j)
     fig = _config_figure(3, a, b, ("p", "q", "p_c", "q_c",
                                    "a_star", "b_star", "a_end", "b_end"))
-    p = fig.points
-    fig.segments = [
-        (p["a"], p["b_end"]), (p["a_star"], p["b"]),
-        (p["a"], p["b_star"]), (p["a_star"], p["b_end"]),
-    ]
+    fig.segments = _chord_pairs(fig.points)[10:]
     fig.circles = [(hyperbolic_line(a, b), "dashed")]
     fig.circles += _great_circles(fig.segments)
     return fig
@@ -121,6 +111,16 @@ def figure_6() -> FigureData:
     fig.circles = [(GenCircle.through(x, y, +1), "solid")
                    for x, y in ((a, c), (b, d))]
     return fig
+
+
+def _chord_pairs(p: dict[str, complex]) -> list[tuple[complex, complex]]:
+    """The fourteen chords of DiskConfig.chords(), k ... v then p, q, as point
+    pairs, from a figure's a, b, a_star, b_star, a_end and b_end."""
+    pairs = []
+    for p1, p2, p3, p4 in DiskConfig(p["a"], p["b"], p["a_star"], p["b_star"],
+                                     p["a_end"], p["b_end"]).chords():
+        pairs += (p1, p2), (p3, p4)
+    return pairs
 
 
 def _great_circles(pairs: list[tuple[complex, complex]]
