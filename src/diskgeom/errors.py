@@ -12,7 +12,10 @@ class GeometryError(ValueError):
 
 class DegenerateInput(GeometryError):
     """A line through coincident points, a circle radius that is not positive
-    and finite, or the center or radius of a line."""
+    and finite, or the center or radius of a line; also a finite input to a
+    curve function of euclid or spherical (normal, so GenCircle.through and
+    gcis; GenCircle.circle, radius and residual; orthocenter;
+    orthogonal_great_circle) whose squared modulus overflows the float range."""
 
 
 class ParallelLines(GeometryError):
@@ -80,10 +83,6 @@ class NoRealIntersection(GeometryError):
 
 class InvalidCyclicOrder(GeometryError):
     """Unit-circle points are not in positive cyclic order."""
-
-
-class PointOutsideDisk(GeometryError):
-    """A derived point left the open disk; the sample should be skipped."""
 
 
 class UnknownTheorem(GeometryError):

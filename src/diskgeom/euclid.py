@@ -34,6 +34,7 @@ from .errors import (
 INFINITY = complex(math.inf, math.inf)
 Normal = tuple[complex, float]      # (B, A): the normal (Re B, Im B, A)
 _MIN_SINE2 = MEET_MIN_SINE * MEET_MIN_SINE   # meet compares squared norms
+_OVERFLOW = "a squared modulus overflows the float range"
 
 
 def format_complex(z: complex) -> str:
@@ -70,7 +71,10 @@ class GenCircle(NamedTuple):
         """Circle with finite center and positive radius."""
         if not (radius > 0 and math.isfinite(radius)):
             raise DegenerateInput("circle radius must be positive and finite")
-        return cls(1.0, -center, abs(center) ** 2 - radius ** 2)
+        try:
+            return cls(1.0, -center, abs(center) ** 2 - radius ** 2)
+        except OverflowError:
+            raise DegenerateInput(_OVERFLOW) from None
 
     @classmethod
     def through(cls, a: complex, b: complex, s: float) -> GenCircle:
@@ -81,8 +85,14 @@ class GenCircle(NamedTuple):
         return tuple.__new__(cls, (A, B, s * A))
 
     def _root(self) -> float:
-        """sqrt(|B|^2 - AC): |A| times the radius, or |B| for a line."""
-        return math.sqrt(max(abs(self.B) ** 2 - self.A * self.C, 0.0))
+        """sqrt(|B|^2 - AC): |A| times the radius, or |B| for a line; 0 where
+        rounding makes |B|^2 - AC negative.  The conditional is max(r2, 0.0)
+        bit for bit (a NaN or -0.0 r2 passes), without the builtin's call."""
+        try:
+            r2 = abs(self.B) ** 2 - self.A * self.C
+        except OverflowError:
+            raise DegenerateInput(_OVERFLOW) from None
+        return math.sqrt(0.0 if r2 < 0.0 else r2)
 
     def _circle_A(self) -> float:
         if self.A == 0:
@@ -100,8 +110,11 @@ class GenCircle(NamedTuple):
 
     def residual(self, z: complex) -> float:
         """Euclidean distance from z to the curve."""
-        f = self.A * abs(z) ** 2 + 2 * (self.B.conjugate() * z).real + self.C
-        return abs(f) / (abs(self.A * z + self.B) + self._root())
+        try:
+            f = self.A * abs(z) ** 2 + 2 * (self.B.conjugate() * z).real + self.C
+            return abs(f) / (abs(self.A * z + self.B) + self._root())
+        except OverflowError:
+            raise DegenerateInput(_OVERFLOW) from None
 
 
 def normal(a: complex, b: complex, s: float) -> Normal:
@@ -115,15 +128,18 @@ def normal(a: complex, b: complex, s: float) -> Normal:
     """
     if a == b:
         raise CoincidentPoints("a curve through a, b needs a != b")
-    ra, rb = abs(a), abs(b)
-    a2, b2 = ra ** 2, rb ** 2
-    A = 2 * (b * a.conjugate()).imag
-    B = 1j * (b * (s + a2) - a * (s + b2))
-    # For b = s/conj(a) rounded to a float, A and B are not exactly 0 but
-    # the rounding error of their products, a few ulps of this operand
-    # scale; the curve they span is noise, so refuse it like exact 0.
-    if abs(A) + abs(B) <= 4 * 2 ** -52 * (rb * (1 + a2) + ra * (1 + b2)):
-        raise AntipodalPair("b = s/conj(a) lies on every curve of the family")
+    try:
+        ra, rb = abs(a), abs(b)
+        a2, b2 = ra ** 2, rb ** 2
+        A = 2 * (b * a.conjugate()).imag
+        B = 1j * (b * (s + a2) - a * (s + b2))
+        # For b = s/conj(a) rounded to a float, A and B are not exactly 0 but
+        # the rounding error of their products, a few ulps of this operand
+        # scale; the curve they span is noise, so refuse it like exact 0.
+        if abs(A) + abs(B) <= 4 * 2 ** -52 * (rb * (1 + a2) + ra * (1 + b2)):
+            raise AntipodalPair("b = s/conj(a) lies on every curve of the family")
+    except OverflowError:
+        raise DegenerateInput(_OVERFLOW) from None
     return B, A
 
 
@@ -182,8 +198,11 @@ def line_intersection(a: complex, b: complex, c: complex, d: complex) -> complex
 def orthocenter(p1: complex, p2: complex, p3: complex) -> complex:
     """Orthocenter of a non-degenerate triangle."""
     cross = ((p2 - p1) * (p3 - p1).conjugate()).imag
-    if abs(cross) <= DEGENERACY_TOL * scale_of(p1, p2, p3) ** 2:
-        raise CollinearPoints("triangle vertices are collinear")
+    try:
+        if abs(cross) <= DEGENERACY_TOL * scale_of(p1, p2, p3) ** 2:
+            raise CollinearPoints("triangle vertices are collinear")
+    except OverflowError:
+        raise DegenerateInput(_OVERFLOW) from None
     # altitude from p1 is perpendicular to p2-p3, similarly from p2
     return line_intersection(p1, p1 + 1j * (p3 - p2), p2, p2 + 1j * (p3 - p1))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, starmap
 
 from .euclid import GenCircle, format_complex, line_intersection
 from .hyperbolic import (
@@ -41,10 +41,10 @@ class FigureData:
 
 def _config_figure(fig_id: int, a: complex, b: complex,
                    names: tuple[str, ...]) -> FigureData:
-    points, statuses, _ = family_points(a, b)
+    points, _, _ = family_points(a, b)        # it leaves out a degenerate point
     chosen = {"a": a, "b": b}
     for n in names:
-        if statuses.get(n) == "ok":
+        if n in points:
             chosen[n] = points[n]
     return FigureData(fig_id, {"a": a, "b": b}, chosen)
 
@@ -69,7 +69,7 @@ def figure_2() -> FigureData:
     a, b = 0.5 + 0j, 0.6 * cmath.exp(1j)
     fig = _config_figure(2, a, b, ("k_c", "s_c", "t_c", "u_c", "v_c",
                                    "a_star", "b_star", "a_end", "b_end"))
-    fig.circles = _great_circles(_chord_pairs(fig.points)[:10])
+    fig.circles = _great_circles(_chord_pairs(a, b, fig.points, slice(5)))
     return fig
 
 
@@ -77,7 +77,7 @@ def figure_3() -> FigureData:
     a, b = 0.5 + 0j, 0.6 * cmath.exp(1j)
     fig = _config_figure(3, a, b, ("p", "q", "p_c", "q_c",
                                    "a_star", "b_star", "a_end", "b_end"))
-    fig.segments = _chord_pairs(fig.points)[10:]
+    fig.segments = _chord_pairs(a, b, fig.points, slice(5, 7))
     fig.circles = [(hyperbolic_line(a, b), "dashed")]
     fig.circles += _great_circles(fig.segments)
     return fig
@@ -113,12 +113,13 @@ def figure_6() -> FigureData:
     return fig
 
 
-def _chord_pairs(p: dict[str, complex]) -> list[tuple[complex, complex]]:
-    """The fourteen chords of DiskConfig.chords(), k ... v then p, q, as point
-    pairs, from a figure's a, b, a_star, b_star, a_end and b_end."""
+def _chord_pairs(a: complex, b: complex, p: dict[str, complex],
+                 chords: slice) -> list[tuple[complex, complex]]:
+    """The chords DiskConfig.chords()[chords] of a figure's a, b and its
+    a_star, b_star, a_end and b_end, as point pairs p1p2 and p3p4."""
     pairs = []
-    for p1, p2, p3, p4 in DiskConfig(p["a"], p["b"], p["a_star"], p["b_star"],
-                                     p["a_end"], p["b_end"]).chords():
+    for p1, p2, p3, p4 in DiskConfig(a, b, p["a_star"], p["b_star"],
+                                     p["a_end"], p["b_end"]).chords()[chords]:
         pairs += (p1, p2), (p3, p4)
     return pairs
 
@@ -126,8 +127,7 @@ def _chord_pairs(p: dict[str, complex]) -> list[tuple[complex, complex]]:
 def _great_circles(pairs: list[tuple[complex, complex]]
                    ) -> list[tuple[GenCircle, str]]:
     """Dotted projected great circles through each pair; lines are not drawn."""
-    return [(g, "dotted") for g in (great_circle_projection(x, y) for x, y in pairs)
-            if g.A]
+    return [(g, "dotted") for g in starmap(great_circle_projection, pairs) if g.A]
 
 
 _BUILDERS = {1: figure_1, 2: figure_2, 3: figure_3, 5: figure_5, 6: figure_6}

@@ -17,6 +17,7 @@ from .errors import (
     DEGENERACY_TOL, DISK_EDGE_TOL,
     AntipodalPair,
     CoincidentPoints,
+    DegenerateInput,
     EqualModuli,
     NearBoundary,
     NoRealIntersection,
@@ -146,7 +147,10 @@ def orthogonal_great_circle(a: complex, b: complex) -> GenCircle:
     """Projection of the great circle through the chordal midpoint of a, b
     orthogonal to the great circle through a and b: the points chordally
     equidistant from a and b.  Requires |a| != |b|."""
-    den = abs(a) ** 2 - abs(b) ** 2
-    if abs(den) <= DEGENERACY_TOL:
-        raise EqualModuli("construction requires |a| != |b|")
-    return GenCircle(den, a * (1 + abs(b) ** 2) - b * (1 + abs(a) ** 2), -den)
+    try:
+        den = abs(a) ** 2 - abs(b) ** 2
+        if abs(den) <= DEGENERACY_TOL:
+            raise EqualModuli("construction requires |a| != |b|")
+        return GenCircle(den, a * (1 + abs(b) ** 2) - b * (1 + abs(a) ** 2), -den)
+    except OverflowError:
+        raise DegenerateInput("a squared modulus overflows the float range") from None

@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import GeometryError, PointOutsideDisk, SamplerStarvation, UnknownTheorem
+from .errors import GeometryError, SamplerStarvation, UnknownTheorem
 from .euclid import GenCircle, line_intersection, orthocenter, scale_of
 from .hyperbolic import (
     chord_vs_geodesic_midpoint,
@@ -315,13 +315,10 @@ def conjecture_check(a: complex, b: complex, c: complex, d: complex,
                      h: complex) -> float:
     """Residual |rho(h,j) - rho(k,l)| for the four-chord configuration.
 
-    Samples whose derived points leave the open disk raise PointOutsideDisk
+    A derived point outside the open disk, or NaN, raises rho's OutsideDisk
     (a skip signal, not a failure).
     """
     _, j, k, l = conjecture_points(a, b, c, d, h)
-    for z in (h, j, k, l):
-        if not abs(z) < 1:               # a NaN coordinate fails too
-            raise PointOutsideDisk(f"derived point {z} outside the open disk")
     return abs(rho(h, j) - rho(k, l))
 
 

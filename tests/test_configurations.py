@@ -21,7 +21,7 @@ from diskgeom.errors import (
     ZeroPoint,
 )
 from diskgeom.euclid import GenCircle, line_intersection, midpoint_denominator, scale_of
-from diskgeom.spherical import gcis_roots
+from diskgeom.spherical import gcis_roots, great_circle_projection
 from diskgeom import configurations
 from diskgeom.configurations import (
     DiskConfig,
@@ -1040,3 +1040,22 @@ def test_eleven_point_check_residual_is_eleven_points_residual_without_pq():
         assert repr(outcome) == repr(_outcome(lambda: eleven_points(a, b)[1])), (a, b)
         kinds.add(outcome[1] if outcome[0] == "error" else "value")
     assert {"value", CollinearWithOrigin, DegenerateDenominator} <= kinds
+
+
+def test_closed_forms_lie_on_both_curves_their_chords_name():
+    # DiskConfig.chords() is the oracles' chord table, and no closed form
+    # reads it: k ... v, p and q must lie on both lines of their chords, and
+    # k_c ... v_c, p_c and q_c on both projected great circles through them
+    spec = default_spec("explicit_formulas", 1000, 5)
+    worst_line = worst_circle = 0.0
+    for i in range(spec.count):
+        cfg = build_config(*sample_disk_pair(spec, i))
+        p, q, pc, qc = pq_family(cfg)
+        for (p1, p2, p3, p4), z, zc in zip(cfg.chords(), (*five_points_euclid(cfg), p, q),
+                                           (*five_points_chordal(cfg), pc, qc)):
+            for x, y in ((p1, p2), (p3, p4)):
+                worst_line = max(worst_line,
+                                 GenCircle.line(x, y).residual(z) / max(1.0, abs(z)))
+                worst_circle = max(worst_circle, great_circle_projection(x, y).residual(zc)
+                                   / max(1.0, abs(zc)))
+    assert worst_line <= 1e-12 and worst_circle <= 1e-12, (worst_line, worst_circle)

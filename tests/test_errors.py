@@ -5,6 +5,8 @@ import cmath
 import contextlib
 import io
 import json
+import math
+import random
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from diskgeom.errors import (
     NoInDiskRoot,
     NoRealIntersection,
     OriginIntersection,
-    PointOutsideDisk,
+    OutsideDisk,
     PoleHit,
     SamplerStarvation,
 )
@@ -36,7 +38,7 @@ from diskgeom.hyperbolic import (
     midpoint_via_lens,
     mobius_T,
 )
-from diskgeom.spherical import orthogonal_great_circle
+from diskgeom.spherical import gcis, gcis_roots, great_circle_projection, orthogonal_great_circle
 from diskgeom.oracles import midpoint_oracle
 from diskgeom.verify import SampleSpec, VerificationReport, conjecture_check, sample_disk_pair
 
@@ -55,7 +57,7 @@ CASES = [
     (OriginIntersection,
      lambda: chord_vs_geodesic_midpoint(1 + 0j, 1j, -1 + 0j, -1j)),
     # h = 1.5 lies outside the disk
-    (PointOutsideDisk,
+    (OutsideDisk,
      lambda: conjecture_check(cmath.exp(0.3j), cmath.exp(1.5j), cmath.exp(3j),
                               cmath.exp(4.5j), 1.5 + 0j)),
     # the geodesics around 2 and -2 are disjoint: the radicand is 0 - 4^2
@@ -80,6 +82,40 @@ CASES = [
 def test_error_class_is_raised(error, call):
     with pytest.raises(error):
         call()
+
+
+def test_curve_functions_refuse_a_squared_modulus_past_the_float_range():
+    # |z| log-uniform in [1e-300, 1e300]: past about 1.3e154, |z| ** 2 and
+    # abs() overflow, which must surface as a GeometryError, not OverflowError
+    rng = random.Random(34)
+
+    def z():
+        return 10 ** rng.uniform(-300, 300) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+    def r():
+        return 10 ** rng.uniform(-300, 300)
+
+    calls = {
+        "gcis_roots": lambda: gcis_roots(z(), z(), z(), z()),
+        "gcis": lambda: gcis(z(), z(), z(), z()),
+        "orthocenter": lambda: orthocenter(z(), z(), z()),
+        "GenCircle.through": lambda: GenCircle.through(z(), z(), rng.choice((1, -1))),
+        "orthogonal_great_circle": lambda: orthogonal_great_circle(z(), z()),
+        "great_circle_projection": lambda: great_circle_projection(z(), z()),
+        "GenCircle.circle": lambda: GenCircle.circle(z(), r()),
+        "GenCircle.residual": lambda: GenCircle(r(), z(), -r()).residual(z()),
+        "GenCircle.radius": lambda: GenCircle(r(), z(), -r()).radius,
+    }
+    escaped = {}
+    for name, call in calls.items():
+        for _ in range(300):
+            try:
+                call()
+            except GeometryError:
+                pass
+            except ArithmeticError as exc:
+                escaped[name] = repr(exc)
+    assert escaped == {}
 
 
 def _refusal(call, *args):

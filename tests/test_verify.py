@@ -15,7 +15,6 @@ from diskgeom.errors import (
     GeometryError,
     NearBoundary,
     OutsideDisk,
-    PointOutsideDisk,
     SamplerStarvation,
     UnknownTheorem,
 )
@@ -613,7 +612,7 @@ def test_conjecture_check_generic_quadruple_is_tiny():
 def test_conjecture_check_skips_a_nan_point_with_its_own_signal():
     # abs(nan) >= 1 is false, so only `not abs(z) < 1` stops NaN before rho
     a, b, c, d = (cmath.exp(1j * t) for t in (0.3, 1.5, 3.0, 4.5))
-    with pytest.raises(PointOutsideDisk):
+    with pytest.raises(OutsideDisk):
         conjecture_check(a, b, c, d, complex(math.nan, 0.1))
 
 
