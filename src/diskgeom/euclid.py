@@ -35,6 +35,7 @@ INFINITY = complex(math.inf, math.inf)
 Normal = tuple[complex, float]      # (B, A): the normal (Re B, Im B, A)
 _MIN_SINE2 = MEET_MIN_SINE * MEET_MIN_SINE   # meet compares squared norms
 _OVERFLOW = "a squared modulus overflows the float range"
+_NO_CENTER = "a line has no center or radius"
 
 
 def format_complex(z: complex) -> str:
@@ -94,19 +95,21 @@ class GenCircle(NamedTuple):
             raise DegenerateInput(_OVERFLOW) from None
         return math.sqrt(0.0 if r2 < 0.0 else r2)
 
-    def _circle_A(self) -> float:
-        if self.A == 0:
-            raise DegenerateInput("a line has no center or radius")
-        return self.A
-
     @property
     def center(self) -> complex:
-        """Center of a circle; a line (A = 0) raises DegenerateInput."""
-        return -self.B / self._circle_A()
+        """Center of a circle; for a line (A = 0) the division by A raises
+        ZeroDivisionError, refused as DegenerateInput, here and in radius."""
+        try:
+            return -self.B / self.A
+        except ZeroDivisionError:
+            raise DegenerateInput(_NO_CENTER) from None
 
     @property
     def radius(self) -> float:
-        return self._root() / abs(self._circle_A())
+        try:
+            return self._root() / abs(self.A)
+        except ZeroDivisionError:
+            raise DegenerateInput(_NO_CENTER) from None
 
     def residual(self, z: complex) -> float:
         """Euclidean distance from z to the curve."""

@@ -41,7 +41,7 @@ class FigureData:
 
 def _config_figure(fig_id: int, a: complex, b: complex,
                    names: tuple[str, ...]) -> FigureData:
-    points, _, _ = family_points(a, b)        # it leaves out a degenerate point
+    points, _, _ = family_points(a, b)        # which leaves out a degenerate point
     chosen = {"a": a, "b": b}
     for n in names:
         if n in points:
@@ -78,8 +78,7 @@ def figure_3() -> FigureData:
     fig = _config_figure(3, a, b, ("p", "q", "p_c", "q_c",
                                    "a_star", "b_star", "a_end", "b_end"))
     fig.segments = _chord_pairs(a, b, fig.points, slice(5, 7))
-    fig.circles = [(hyperbolic_line(a, b), "dashed")]
-    fig.circles += _great_circles(fig.segments)
+    fig.circles = [(hyperbolic_line(a, b), "dashed"), *_great_circles(fig.segments)]
     return fig
 
 
@@ -117,9 +116,10 @@ def _chord_pairs(a: complex, b: complex, p: dict[str, complex],
                  chords: slice) -> list[tuple[complex, complex]]:
     """The chords DiskConfig.chords()[chords] of a figure's a, b and its
     a_star, b_star, a_end and b_end, as point pairs p1p2 and p3p4."""
+    # tuple.__new__ skips the generated __new__'s frame, as NamedTuple._make does
+    cfg = tuple.__new__(DiskConfig, (a, b, p["a_star"], p["b_star"], p["a_end"], p["b_end"]))
     pairs = []
-    for p1, p2, p3, p4 in DiskConfig(a, b, p["a_star"], p["b_star"],
-                                     p["a_end"], p["b_end"]).chords()[chords]:
+    for p1, p2, p3, p4 in cfg.chords()[chords]:
         pairs += (p1, p2), (p3, p4)
     return pairs
 
