@@ -8,8 +8,9 @@ _check_pair; build_config and family_points then take the endpoints from
 hyperbolic.geodesic_end, without geodesic_endpoints' second check.  The line
 family k, s, t, u, v, the great-circle family k_c ... v_c, and the p/q
 family are given here by their closed forms; oracles builds each point
-again where its two chords (lines or projected great circles) meet, and
-verify checks that the two agree.
+again where its two chords (lines or projected great circles) meet, as
+DiskConfig.chords() lists them and no closed form reads, and verify checks
+that the two agree.
 
 One straight-line kernel per family (_line_family, _chordal_family,
 _pq_family) holds the closed forms over what _moduli computes once per pair.

@@ -2,8 +2,9 @@
 
 Each function here builds a point, or a residual, from its geometric
 definition, so that verify can check a closed form against it: the line
-family k, s, t, u, v and p, q as meets of chords, the great-circle family
-and p_c, q_c as meets of projected great circles, the hyperbolic midpoint by
+family k, s, t, u, v and p, q as meets of the chords DiskConfig.chords()
+lists, the great-circle family and p_c, q_c as meets of projected great
+circles through the same points, the hyperbolic midpoint by
 bisection of the metric, and the Moebius lemma of the equal-distance
 conjecture.  None reads a closed form: from configurations this module takes
 DiskConfig alone (tests/test_package.py pins it), and verify alone imports it.
